@@ -456,6 +456,11 @@ let make_slo_trackers (s : slo_spec) =
 
 let run ?obs (spec : spec) =
   let ( let* ) = Result.bind in
+  let* () =
+    (* A negative duration would end an outage before it starts. *)
+    if fst spec.outage.Faults.Outages.transient_down_us >= 0.0 then Ok ()
+    else Error "serve: transient outage durations must be >= 0"
+  in
   let* sub =
     Substrate.create ~vnodes:spec.vnodes ~fault_domains:spec.fault_domains
       ~nodes:spec.nodes ~replication:spec.replication ~engine:spec.engine
@@ -476,15 +481,16 @@ let run ?obs (spec : spec) =
     Array.init spec.nodes (fun node ->
         Faults.Outages.down_intervals events ~duration_us:Float.infinity ~node)
   in
-  let is_down node t =
-    List.exists (fun (lo, hi) -> lo <= t && t < hi) down.(node)
-  in
+  (* Heartbeats and attempts query the indexed timelines; rejoin
+     scheduling and the downtime total walk the interval lists. *)
+  let timelines = Array.map Faults.Outages.timeline down in
+  let is_down node t = Faults.Outages.is_down timelines.(node) t in
   let next_failure node t s =
     if is_down node t then Some (t +. spec.connect_timeout_us)
     else
-      List.find_map
-        (fun (lo, _) -> if t < lo && lo <= t +. s then Some lo else None)
-        down.(node)
+      match Faults.Outages.next_start timelines.(node) ~after:t with
+      | Some lo when lo <= t +. s -> Some lo
+      | _ -> None
   in
   let sim = Desim.Engine.create () in
   (match obs with

@@ -21,6 +21,8 @@ type t = {
   replication : int;
   fault_domains : int;
   casebase : Casebase.t;
+  routes : (int, int list) Hashtbl.t;
+  member_ids : int list;
 }
 
 let ( let* ) = Result.bind
@@ -71,11 +73,12 @@ let create ?(vnodes = 64) ?(fault_domains = 3) ~nodes:count ~replication
        hosts the full type (every variant), so any replica answers
        decision-identically to the full case base. *)
     let hosted = Array.make count [] in
+    let routes = Hashtbl.create (List.length cb.Casebase.ftypes) in
     List.iter
       (fun (ft : Ftype.t) ->
-        List.iter
-          (fun n -> hosted.(n) <- ft :: hosted.(n))
-          (Ring.route ring ~key:ft.Ftype.id ~replicas:replication))
+        let route = Ring.route ring ~key:ft.Ftype.id ~replicas:replication in
+        Hashtbl.replace routes ft.Ftype.id route;
+        List.iter (fun n -> hosted.(n) <- ft :: hosted.(n)) route)
       cb.Casebase.ftypes;
     let* node_list =
       collect_results
@@ -123,14 +126,24 @@ let create ?(vnodes = 64) ?(fault_domains = 3) ~nodes:count ~replication
         replication;
         fault_domains;
         casebase = cb;
+        routes;
+        member_ids = List.map fst members;
       }
 
 let replicas_for t ~type_id =
-  Ring.route t.ring ~key:type_id ~replicas:t.replication
+  match Hashtbl.find t.routes type_id with
+  | route -> route
+  | exception Not_found ->
+      Ring.route t.ring ~key:type_id ~replicas:t.replication
 
 let node t i = t.nodes.(i)
-let members t = List.init (Array.length t.nodes) (fun i -> i)
-let holds t ~node ~type_id = List.mem type_id t.nodes.(node).hosted_types
+let members t = t.member_ids
+
+(* A node hosts exactly the types whose route lists it. *)
+let holds t ~node ~type_id =
+  match Hashtbl.find t.routes type_id with
+  | route -> List.mem node route
+  | exception Not_found -> false
 
 let acquire t ~node =
   let n = t.nodes.(node) in

@@ -33,6 +33,10 @@ type t = {
   replication : int;  (** Effective (clamped to the node count). *)
   fault_domains : int;
   casebase : Qos_core.Casebase.t;  (** The full case base. *)
+  routes : (int, int list) Hashtbl.t;
+      (** Replica route per hosted type ID, filled once by {!create};
+          read it through {!replicas_for}. *)
+  member_ids : int list;  (** Every node ID, ascending; see {!members}. *)
 }
 
 val create :
@@ -49,15 +53,20 @@ val create :
     chosen engine. *)
 
 val replicas_for : t -> type_id:int -> int list
-(** Replica node IDs in routing order (primary first). *)
+(** Replica node IDs in routing order (primary first).  Routes are
+    computed once, by {!create}, for every type of the case base, so
+    this is a table lookup; only a type ID the case base lacks falls
+    back to walking the {!Ring} on each call. *)
 
 val node : t -> int -> node
 
 val members : t -> int list
-(** Every node ID, ascending. *)
+(** Every node ID, ascending.  Built once by {!create}. *)
 
 val holds : t -> node:int -> type_id:int -> bool
-(** Whether [node] hosts [type_id]'s sub-case-base. *)
+(** Whether [node] hosts [type_id]'s sub-case-base: whether [node] is
+    on the type's precomputed route.  [false] for a type ID the case
+    base lacks. *)
 
 (** {1 Load accounting}
 

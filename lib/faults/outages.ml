@@ -112,3 +112,38 @@ let down_intervals events ~duration_us ~node =
          | (plo, phi) :: rest when lo <= phi -> (plo, Float.max phi hi) :: rest
          | _ -> (lo, hi) :: acc)
        [] sorted)
+
+type timeline = { starts : float array; ends : float array }
+
+let timeline intervals =
+  ignore
+    (List.fold_left
+       (fun prev_hi (lo, hi) ->
+         if not (lo <= hi && lo > prev_hi) then
+           invalid_arg "Outages.timeline: intervals not sorted and disjoint";
+         hi)
+       Float.neg_infinity intervals);
+  {
+    starts = Array.of_list (List.map fst intervals);
+    ends = Array.of_list (List.map snd intervals);
+  }
+
+(* Number of outages starting at or before [t]: the index of the first
+   start strictly after it. *)
+let starts_upto tl t =
+  let lo = ref 0 and hi = ref (Array.length tl.starts) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if tl.starts.(mid) <= t then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+(* Starts strictly increase and each outage ends before the next one
+   starts, so only the last outage started by [t] can cover it. *)
+let is_down tl t =
+  let i = starts_upto tl t in
+  i > 0 && t < tl.ends.(i - 1)
+
+let next_start tl ~after =
+  let i = starts_upto tl after in
+  if i < Array.length tl.starts then Some tl.starts.(i) else None

@@ -48,3 +48,27 @@ val down_intervals : event list -> duration_us:float -> node:int -> (float * flo
     [(from, until)] intervals (a permanent kill extends to
     [duration_us]) — the oracle health checks and availability
     accounting read. *)
+
+(** {1 Indexed timeline}
+
+    The cluster asks "is this node down at [t]?" on every heartbeat scan
+    and "when does its next outage start?" on every attempt.  A
+    timeline answers both by binary search instead of a list scan. *)
+
+type timeline
+(** One node's outages as two parallel arrays of starts and ends.
+    Invariant: starts strictly increase and every outage ends before
+    the next one starts (sorted, disjoint), the shape
+    {!down_intervals} returns.  Zero-length outages are kept and never
+    cover any instant. *)
+
+val timeline : (float * float) list -> timeline
+(** Index a {!down_intervals} result in O(k) for k outages.
+    @raise Invalid_argument when the intervals are not sorted and
+    disjoint ([lo <= hi], each [lo] after the previous [hi]). *)
+
+val is_down : timeline -> float -> bool
+(** [is_down tl t] holds when some outage has [lo <= t < hi].  O(log k). *)
+
+val next_start : timeline -> after:float -> float option
+(** The first outage start strictly after [after], if any.  O(log k). *)

@@ -278,6 +278,16 @@ let test_serve_degraded_path () =
       | Serve.Failed msg -> Alcotest.fail ("unexpected failure: " ^ msg))
     r.Serve.outcomes
 
+let test_serve_rejects_negative_outages () =
+  let outage =
+    { outage_spec with Outages.transient_down_us = (-500.0, -100.0) }
+  in
+  match Serve.run (spec ~duration_us:20_000.0 ~outage ()) with
+  | Ok _ -> Alcotest.fail "negative outage durations accepted"
+  | Error e ->
+      Alcotest.(check string)
+        "diagnostic" "serve: transient outage durations must be >= 0" e
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -563,6 +573,82 @@ let ref_route ~nodes ~vnodes ~key ~replicas =
   let ranked = List.rev preferred @ List.rev parked in
   List.filteri (fun i _ -> i < replicas) ranked
 
+(* Old list scans the outage timeline replaces: the reference the
+   binary searches must agree with on every probe. *)
+let scan_is_down intervals t =
+  List.exists (fun (lo, hi) -> lo <= t && t < hi) intervals
+
+let scan_next_failure intervals t s =
+  List.find_map
+    (fun (lo, _) -> if t < lo && lo <= t +. s then Some lo else None)
+    intervals
+
+let timeline_next_failure tl t s =
+  match Outages.next_start tl ~after:t with
+  | Some lo when lo <= t +. s -> Some lo
+  | _ -> None
+
+let timeline_agrees intervals probes =
+  let tl = Outages.timeline intervals in
+  List.for_all
+    (fun t ->
+      Outages.is_down tl t = scan_is_down intervals t
+      && List.for_all
+           (fun s ->
+             timeline_next_failure tl t s = scan_next_failure intervals t s)
+           [ 0.0; 250.0; 4_000.0; Float.infinity ])
+    probes
+
+let test_outages_timeline_edges () =
+  let agrees name intervals =
+    check_bool name true
+      (timeline_agrees intervals
+         (Float.neg_infinity :: Float.infinity
+         :: List.concat_map (fun (lo, hi) -> [ lo; hi; lo -. 1.0 ]) intervals))
+  in
+  agrees "no outages" [];
+  agrees "zero-length outage" [ (5.0, 5.0) ];
+  agrees "bounce then permanent kill"
+    [ (1.0, 2.0); (2.5, 2.5); (3.0, Float.infinity) ];
+  let tl = Outages.timeline [ (1.0, 2.0); (3.0, Float.infinity) ] in
+  check_bool "down at a start" true (Outages.is_down tl 1.0);
+  check_bool "up at an end" false (Outages.is_down tl 2.0);
+  check_bool "next start is strictly after" true
+    (Outages.next_start tl ~after:1.0 = Some 3.0);
+  check_bool "nothing after the last start" true
+    (Outages.next_start tl ~after:3.0 = None);
+  Alcotest.check_raises "overlapping intervals"
+    (Invalid_argument "Outages.timeline: intervals not sorted and disjoint")
+    (fun () -> ignore (Outages.timeline [ (1.0, 3.0); (2.0, 4.0) ]))
+
+(* Random campaign shapes: kills, bounce storms (possibly zero-length
+   or off), and a fleet large enough that some nodes see nothing. *)
+let gen_outage_case =
+  QCheck2.Gen.(
+    let* seed = int_range 0 10_000 in
+    let* nodes = int_range 1 8 in
+    let* permanent_frac = oneofl [ 0.0; 0.2; 0.5; 1.0 ] in
+    let* transient_mean_us = opt (oneofl [ 500.0; 3_000.0; 20_000.0 ]) in
+    let* dlo = oneofl [ 0.0; 100.0; 1_000.0 ] in
+    let* dspan = oneofl [ 0.0; 0.0; 2_000.0 ] in
+    let* finite = bool in
+    let* probes = list_size (int_range 0 20) (float_range 0.0 60_000.0) in
+    return
+      ( seed,
+        nodes,
+        {
+          Outages.permanent_frac;
+          permanent_window = (0.2, 0.7);
+          transient_mean_us;
+          transient_down_us = (dlo, dlo +. dspan);
+        },
+        finite,
+        probes ))
+
+let gen_route_case =
+  QCheck2.Gen.(
+    tup4 (int_range 1 8) (int_range 1 8) (int_range 1 4) (int_range 1 16))
+
 let props =
   [
     (* For any seeded outage schedule, every successful (full-QoS)
@@ -647,6 +733,71 @@ let props =
         String.equal
           (Serve.results_to_string pre)
           (Serve.results_to_string st));
+    (* The indexed outage timeline answers both heartbeat and attempt
+       queries exactly as the list scans over [down_intervals] do,
+       probed at every interval boundary and at random times. *)
+    prop "outage timeline matches the interval scans" gen_outage_case
+      (fun (seed, nodes, spec, finite, probes) ->
+        let duration_us = 50_000.0 in
+        let events =
+          Outages.generate (Injector.create ~seed) ~nodes ~duration_us spec
+        in
+        List.for_all
+          (fun node ->
+            let intervals =
+              Outages.down_intervals events
+                ~duration_us:(if finite then duration_us else Float.infinity)
+                ~node
+            in
+            let edges =
+              List.concat_map (fun (lo, hi) -> [ lo; hi ]) intervals
+            in
+            timeline_agrees intervals (edges @ probes))
+          (List.init nodes Fun.id));
+    (* Routes precomputed at [Substrate.create] equal a fresh ring walk
+       for every hosted type, the fallback walk serves unknown types,
+       and hosting is exactly membership in the route. *)
+    prop "substrate route table matches the ring" gen_route_case
+      (fun (nodes, replication, fault_domains, vnodes) ->
+        let cb = Desim.Apps.reference_casebase in
+        let sub =
+          get
+            (Substrate.create ~vnodes ~fault_domains ~nodes ~replication
+               ~engine:Engine.fixed_engine cb)
+        in
+        let ring =
+          get
+            (Ring.create ~vnodes
+               ~nodes:(List.init nodes (fun i -> (i, i mod fault_domains)))
+               ())
+        in
+        let route key =
+          Ring.route ring ~key ~replicas:(min replication nodes)
+        in
+        let ids =
+          List.map (fun (ft : Ftype.t) -> ft.Ftype.id) cb.Casebase.ftypes
+        in
+        let unknown = [ -1; 0; 1_000; 1_001 + nodes ] in
+        List.for_all (fun id -> not (List.mem id ids)) unknown
+        && Substrate.members sub = List.init nodes Fun.id
+        && List.for_all
+             (fun type_id ->
+               Substrate.replicas_for sub ~type_id = route type_id)
+             (ids @ unknown)
+        && List.for_all
+             (fun n ->
+               let hosted = (Substrate.node sub n).Substrate.hosted_types in
+               List.for_all
+                 (fun type_id ->
+                   List.mem type_id hosted
+                   = List.mem n (Substrate.replicas_for sub ~type_id)
+                   && Substrate.holds sub ~node:n ~type_id
+                      = List.mem type_id hosted)
+                 ids
+               && List.for_all
+                    (fun type_id -> not (Substrate.holds sub ~node:n ~type_id))
+                    unknown)
+             (List.init nodes Fun.id));
   ]
 
 let () =
@@ -670,7 +821,11 @@ let () =
             test_backoff_cap_and_jitter;
         ] );
       ( "outages",
-        [ Alcotest.test_case "seeded schedule" `Quick test_outages_schedule ] );
+        [
+          Alcotest.test_case "seeded schedule" `Quick test_outages_schedule;
+          Alcotest.test_case "timeline edge cases" `Quick
+            test_outages_timeline_edges;
+        ] );
       ( "substrate",
         [ Alcotest.test_case "placement" `Quick test_substrate_placement ] );
       ( "serve",
@@ -679,6 +834,8 @@ let () =
           Alcotest.test_case "chaos acceptance" `Quick
             test_serve_chaos_acceptance;
           Alcotest.test_case "degraded path" `Quick test_serve_degraded_path;
+          Alcotest.test_case "negative outage durations" `Quick
+            test_serve_rejects_negative_outages;
           Alcotest.test_case "obs metrics" `Quick test_serve_obs;
           Alcotest.test_case "event log" `Quick test_serve_eventlog;
           Alcotest.test_case "work stealing" `Quick test_serve_steal;
