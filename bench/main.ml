@@ -493,9 +493,10 @@ let run_s6 () =
     (* retrieval cost a bypass hit avoids, from the reference case base *)
     match
       Rtlsim.Machine.retrieve Desim.Apps.reference_casebase
-        (Desim.Apps.instantiate
+        (Desim.Apps.draw
            (Workload.Prng.create ~seed:1)
-           (List.hd Desim.Apps.automotive_ecu.Desim.Apps.templates))
+           (Desim.Apps.compile
+              (List.hd Desim.Apps.automotive_ecu.Desim.Apps.templates)))
     with
     | Ok o -> o.Rtlsim.Machine.stats.Rtlsim.Machine.cycles
     | Error _ -> 0

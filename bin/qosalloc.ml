@@ -417,14 +417,12 @@ let resources_cmd =
 let par_request_stream (spec : Desim.Simulate.spec) ~count =
   let rng = Workload.Prng.create ~seed:(spec.Desim.Simulate.seed + 1) in
   let apps = Array.of_list spec.Desim.Simulate.apps in
+  let cycles = Array.map Desim.Apps.cycle apps in
   let napps = Array.length apps in
   List.init count (fun i ->
-      let profile = apps.(i mod napps) in
-      let templates = profile.Desim.Apps.templates in
-      let template = List.nth templates (i / napps mod List.length templates) in
       {
-        Parallel.Frontend.app_id = profile.Desim.Apps.app_id;
-        request = Desim.Apps.instantiate rng template;
+        Parallel.Frontend.app_id = apps.(i mod napps).Desim.Apps.app_id;
+        request = Desim.Apps.next rng cycles.(i mod napps);
       })
 
 let run_par_section ?obs ?engine (spec : Desim.Simulate.spec) ~jobs ~batch
@@ -828,7 +826,15 @@ let serve_cmd =
       }
     in
     let obs = make_obs ~metrics ~trace_out ~events_out in
-    let report = or_die (Cluster.Serve.run ?obs spec) in
+    let report =
+      match Cluster.Serve.run ?obs spec with
+      | Ok r -> r
+      | Error m ->
+          (* A spec the run rejects is an input error: exit 2, like a
+             lint error, never a crash or a hang. *)
+          prerr_endline ("qosalloc: " ^ m);
+          exit 2
+    in
     emit_obs obs ~metrics ~trace_out ~events_out;
     (match out with
     | None -> ()

@@ -199,8 +199,8 @@ type arrival = { a_app : string; a_at_us : float; a_request : Request.t }
 
 let scaled_apps (spec : spec) =
   if spec.load_scale = 1.0 then spec.apps
-  else if spec.load_scale <= 0.0 then
-    invalid_arg "Serve: load_scale must be > 0"
+  else if not (Float.is_finite spec.load_scale && spec.load_scale > 0.0) then
+    invalid_arg "Serve: load_scale must be finite and > 0"
   else
     List.map
       (fun (p : Desim.Apps.profile) ->
@@ -454,13 +454,61 @@ let make_slo_trackers (s : slo_spec) =
     };
   ]
 
+(* One request's walk down the degradation ladder.  The stage functions
+   of [run] take this record instead of closing over the request, so
+   admitting a request allocates the record and the events it
+   schedules, and nothing per stage.  [p_tq] and the [p_saw_*] flags
+   belong to the current round: [round] resets them, and the stages of
+   that round — including a failover that resumes it later in sim-time
+   — read them. *)
+type pending = {
+  p_idx : int;
+  p_app : string;
+  p_t0 : float;
+  p_type : int;
+  p_decision : Engine.decision;
+  p_replicas : int list;
+  mutable p_attempt : int;
+  mutable p_tq : float;  (* detector query time, fixed at round start *)
+  mutable p_saw_breaker : bool;
+  mutable p_saw_down : bool;
+  mutable p_saw_saturated : bool;
+}
+
+(* Latency accumulators: an all-float record stores its fields unboxed,
+   so updating them allocates nothing. *)
+type latency_acc = { mutable lat_sum : float; mutable lat_max : float }
+
+(* Where a replica stands in one round: not attempted, or attempted
+   behind (a suspect) or ahead of the others (up). *)
+type candidacy = Skipped | Behind | Ahead
+
+(* [route] filtered to the replicas whose candidacy in [classes] (same
+   positions) is [cls], followed by [tail]. *)
+let rec keep_class classes cls k tail = function
+  | [] -> tail
+  | node :: rest ->
+      if classes.(k) = cls then node :: keep_class classes cls (k + 1) tail rest
+      else keep_class classes cls (k + 1) tail rest
+
+let validate (spec : spec) =
+  let positive_finite x = Float.is_finite x && x > 0.0 in
+  if not (positive_finite spec.duration_us) then
+    Error
+      (Printf.sprintf "serve: duration_us must be finite and > 0 (got %g)"
+         spec.duration_us)
+  else if not (positive_finite spec.load_scale) then
+    Error
+      (Printf.sprintf "serve: load_scale must be finite and > 0 (got %g)"
+         spec.load_scale)
+  else if fst spec.outage.Faults.Outages.transient_down_us < 0.0 then
+    (* A negative duration would end an outage before it starts. *)
+    Error "serve: transient outage durations must be >= 0"
+  else Ok ()
+
 let run ?obs (spec : spec) =
   let ( let* ) = Result.bind in
-  let* () =
-    (* A negative duration would end an outage before it starts. *)
-    if fst spec.outage.Faults.Outages.transient_down_us >= 0.0 then Ok ()
-    else Error "serve: transient outage durations must be >= 0"
-  in
+  let* () = validate spec in
   let* sub =
     Substrate.create ~vnodes:spec.vnodes ~fault_domains:spec.fault_domains
       ~nodes:spec.nodes ~replication:spec.replication ~engine:spec.engine
@@ -507,7 +555,12 @@ let run ?obs (spec : spec) =
     | Some o -> Some (make_instr o.Obs.Ctx.registry ~nodes:spec.nodes)
     | None -> None
   in
+  (* Both take a closed field selector, so a call allocates nothing
+     even when metrics are off. *)
   let inc f = match instr with None -> () | Some i -> Obs.Metrics.inc (f i) in
+  let inc_node f node =
+    match instr with None -> () | Some i -> Obs.Metrics.inc (f i).(node)
+  in
   let observing = Obs.Events.enabled ev in
   let slos = match spec.slo with None -> [] | Some s -> make_slo_trackers s in
   let detector =
@@ -544,7 +597,7 @@ let run ?obs (spec : spec) =
              });
       (match (last_breaker.(node), st) with
       | (Breaker.Closed | Breaker.Half_open), Breaker.Open ->
-          inc (fun i -> i.i_breaker_opens.(node))
+          inc_node (fun i -> i.i_breaker_opens) node
       | _ -> ());
       last_breaker.(node) <- st
     end
@@ -564,8 +617,7 @@ let run ?obs (spec : spec) =
   let failed_c = ref 0 in
   let reason_counts = Array.make 4 0 in
   let lat_acc = Workload.Stats.create () in
-  let lat_sum = ref 0.0 in
-  let lat_max = ref 0.0 in
+  let lat = { lat_sum = 0.0; lat_max = 0.0 } in
   (* The detector has nothing new to say after the last scheduled
      heartbeat scan, so queries from the retry tail clamp to the
      horizon instead of decaying every node to Down. *)
@@ -574,26 +626,25 @@ let run ?obs (spec : spec) =
      phi accrues. *)
   let rec scan k _e =
     let t = float_of_int k *. spec.heartbeat_period_us in
-    Array.iteri
-      (fun node _ ->
-        if not (is_down node t) then begin
-          Health.beat detector ~node ~at:t;
-          incr heartbeats;
-          inc (fun i -> i.i_heartbeats)
-        end;
-        if observing then begin
-          let st = Health.status detector ~node ~at:t in
-          if st <> last_health.(node) then begin
-            Obs.Events.record ev ~ts:t ~node
-              (Obs.Events.Node_transition
-                 {
-                   prev = Health.status_to_string last_health.(node);
-                   next = Health.status_to_string st;
-                 });
-            last_health.(node) <- st
-          end
-        end)
-      served;
+    for node = 0 to spec.nodes - 1 do
+      if not (is_down node t) then begin
+        Health.beat detector ~node ~at:t;
+        incr heartbeats;
+        inc (fun i -> i.i_heartbeats)
+      end;
+      if observing then begin
+        let st = Health.status detector ~node ~at:t in
+        if st <> last_health.(node) then begin
+          Obs.Events.record ev ~ts:t ~node
+            (Obs.Events.Node_transition
+               {
+                 prev = Health.status_to_string last_health.(node);
+                 next = Health.status_to_string st;
+               });
+          last_health.(node) <- st
+        end
+      end
+    done;
     let next = float_of_int (k + 1) *. spec.heartbeat_period_us in
     if next <= spec.duration_us then
       Desim.Engine.schedule_at sim ~time:next (scan (k + 1))
@@ -628,7 +679,290 @@ let run ?obs (spec : spec) =
       down
   in
   let breaker_watch = observing || Option.is_some instr in
-  (* Per-request degradation ladder. *)
+  let load_of v = Substrate.load sub ~node:v in
+  (* Per-replica class scratch for [round]; filled and consumed within
+     one call, so one buffer serves every request. *)
+  let classes = Array.make spec.nodes Skipped in
+  let rec record_slos r lat_us now = function
+    | [] -> ()
+    | st :: rest ->
+        (match Obs.Slo.record st.st_slo ~at:now ~good:(st.st_good r lat_us) with
+        | None -> ()
+        | Some al ->
+            if observing then
+              Obs.Events.record ev ~ts:now
+                (Obs.Events.Slo_alert
+                   {
+                     objective = st.st_name;
+                     state = Obs.Slo.transition_to_string al.Obs.Slo.al_transition;
+                     burn_fast = al.Obs.Slo.al_burn_fast;
+                     burn_slow = al.Obs.Slo.al_burn_slow;
+                   }));
+        record_slos r lat_us now rest
+  in
+  (* --- The degradation ladder, one function per stage. *)
+  (* Answer request [idx]: aggregates, retention, events, metrics. *)
+  let respond ~idx ~app ~t0 r =
+    let now = Desim.Engine.now sim in
+    incr answered;
+    if retain then Vec.set outcomes idx (Some r);
+    let lat_us = now -. t0 in
+    Workload.Stats.add lat_acc lat_us;
+    lat.lat_sum <- lat.lat_sum +. lat_us;
+    if lat_us > lat.lat_max then lat.lat_max <- lat_us;
+    (match r with
+    | Full { node; decision } ->
+        incr full_c;
+        if observing then
+          Obs.Events.record ev ~ts:now ~request:idx ~node
+            (Obs.Events.Request_completed
+               {
+                 at_node = node;
+                 impl_id = decision.Engine.impl_id;
+                 latency_us = lat_us;
+               });
+        inc (fun i -> i.i_full)
+    | Degraded { stale_impl; reason } ->
+        incr degraded_c;
+        reason_counts.(reason_index reason) <-
+          reason_counts.(reason_index reason) + 1;
+        if observing then
+          Obs.Events.record ev ~ts:now ~request:idx
+            (Obs.Events.Request_degraded
+               { reason = reason_to_string reason; stale_impl });
+        inc (fun i -> i.i_degraded)
+    | Failed msg ->
+        incr failed_c;
+        if observing then
+          Obs.Events.record ev ~ts:now ~request:idx
+            (Obs.Events.Request_failed { error = msg });
+        inc (fun i -> i.i_failed));
+    (match instr with
+    | None -> ()
+    | Some i -> Obs.Metrics.observe i.i_latency lat_us);
+    (* Overlapping requests forbid B/E nesting; X events carry their
+       own extent and Perfetto nests them by time containment. *)
+    if Obs.Tracer.enabled tracer then
+      Obs.Tracer.complete tracer ~ts:t0 ~dur:lat_us
+        ~args:
+          [
+            ("request", string_of_int idx);
+            ("app", app);
+            ("outcome", response_tag r);
+          ]
+        "request";
+    record_slos r lat_us now slos
+  in
+  let attempt_span p ~node ~from outcome ~until =
+    if Obs.Tracer.enabled tracer then
+      Obs.Tracer.complete tracer ~ts:from ~dur:(until -. from)
+        ~args:
+          [
+            ("request", string_of_int p.p_idx);
+            ("node", string_of_int node);
+            ("outcome", outcome);
+          ]
+        "attempt"
+  in
+  (* Class each replica of [p] for the round into [classes]; returns
+     how many are not up. *)
+  let rec classify p ~now k = function
+    | [] -> 0
+    | node :: rest ->
+        if breaker_watch then sync_breaker node ~at:now;
+        let cls =
+          match Health.status detector ~node ~at:p.p_tq with
+          | Health.Down ->
+              p.p_saw_down <- true;
+              Skipped
+          | _ when now < resync_until.(node) ->
+              p.p_saw_down <- true;
+              Skipped
+          | _ when not (Breaker.allows breakers.(node) ~at:now) ->
+              p.p_saw_breaker <- true;
+              Skipped
+          | Health.Suspect -> Behind
+          | Health.Up -> Ahead
+        in
+        classes.(k) <- cls;
+        (if cls = Ahead then 0 else 1) + classify p ~now (k + 1) rest
+  in
+  (* Start a round: skip detector-down / re-syncing / breaker-open
+     replicas; suspects stay eligible but go to the back of the line.
+     When every replica is up the route itself is the candidate list. *)
+  let rec round p =
+    let now = Desim.Engine.now sim in
+    p.p_tq <- query_time now;
+    p.p_saw_breaker <- false;
+    p.p_saw_down <- false;
+    p.p_saw_saturated <- false;
+    let candidates =
+      if classify p ~now 0 p.p_replicas = 0 then p.p_replicas
+      else
+        keep_class classes Ahead 0
+          (keep_class classes Behind 0 [] p.p_replicas)
+          p.p_replicas
+    in
+    try_candidates p candidates
+  (* Next candidate, or — with none left — back off and retry the round,
+     or answer degraded with the stale decision. *)
+  and try_candidates p = function
+    | node :: rest -> dispatch p node rest
+    | [] ->
+        if p.p_attempt < spec.max_retries then begin
+          incr retries;
+          inc (fun i -> i.i_retries);
+          let u =
+            if spec.backoff.Faults.Backoff.jitter > 0.0 then
+              Faults.Injector.uniform retry_inj
+            else 0.5
+          in
+          let attempt = p.p_attempt in
+          let delay = Faults.Backoff.delay spec.backoff ~attempt ~u in
+          if observing then
+            Obs.Events.record ev ~ts:(Desim.Engine.now sim) ~request:p.p_idx
+              (Obs.Events.Request_retry { attempt; delay_us = delay });
+          p.p_attempt <- attempt + 1;
+          Desim.Engine.schedule sim ~delay (fun _ -> round p)
+        end
+        else
+          let reason =
+            if p.p_saw_saturated then Saturated
+            else if p.p_saw_breaker then Breaker_open
+            else if p.p_saw_down then All_replicas_down
+            else Retries_exhausted
+          in
+          respond ~idx:p.p_idx ~app:p.p_app ~t0:p.p_t0
+            (Degraded
+               { stale_impl = Some p.p_decision.Engine.impl_id; reason })
+  (* Steal from an overloaded [node] to a victim, shed a saturated one,
+     or serve on it. *)
+  and dispatch p node rest =
+    let now = Desim.Engine.now sim in
+    let nd = Substrate.node sub node in
+    let inflight_n = nd.Substrate.inflight and slots = nd.Substrate.slots in
+    let steal_pick =
+      if
+        spec.steal.Steal.enabled
+        && Steal.overloaded spec.steal ~inflight:inflight_n ~slots
+      then begin
+        (* Eligibility reads the round's query time, not [now]: after a
+           failover [now] has moved on but the round's verdicts stand. *)
+        let tq = p.p_tq and type_id = p.p_type in
+        let eligible v =
+          if breaker_watch then sync_breaker v ~at:now;
+          Health.status detector ~node:v ~at:tq = Health.Up
+          && now >= resync_until.(v)
+          && Breaker.allows breakers.(v) ~at:now
+        in
+        let pick =
+          Steal.select spec.steal ~salt:p.p_idx ~donor:node
+            ~replicas:p.p_replicas ~members:(Substrate.members sub) ~eligible
+            ~load:load_of
+            ~holds:(fun v -> Substrate.holds sub ~node:v ~type_id)
+        in
+        (match pick with
+        | Some pk ->
+            incr steals;
+            donated.(node) <- donated.(node) + 1;
+            stolen.(pk.Steal.victim) <- stolen.(pk.Steal.victim) + 1;
+            inc_node (fun i -> i.i_donated) node;
+            inc_node (fun i -> i.i_stolen) pk.Steal.victim;
+            if observing then
+              Obs.Events.record ev ~ts:now ~request:p.p_idx ~node
+                (Obs.Events.Request_steal
+                   {
+                     from_node = node;
+                     to_node = Some pk.Steal.victim;
+                     scope = Steal.scope_to_string pk.Steal.scope;
+                   })
+        | None ->
+            incr steal_denials;
+            inc (fun i -> i.i_steal_denied);
+            if observing then
+              Obs.Events.record ev ~ts:now ~request:p.p_idx ~node
+                (Obs.Events.Request_steal
+                   { from_node = node; to_node = None; scope = "denied" }));
+        pick
+      end
+      else None
+    in
+    match steal_pick with
+    | Some pk -> execute p ~node:pk.Steal.victim ~stolen:steal_pick rest
+    | None ->
+        if inflight_n >= slots then begin
+          (* Saturated: shed towards the next replica, the
+             [Parallel.Bqueue] contract at cluster scope. *)
+          p.p_saw_saturated <- true;
+          shed.(node) <- shed.(node) + 1;
+          inc_node (fun i -> i.i_shed) node;
+          if observing then
+            Obs.Events.record ev ~ts:now ~request:p.p_idx ~node
+              (Obs.Events.Request_shed { at_node = node });
+          try_candidates p rest
+        end
+        else execute p ~node ~stolen:None rest
+  (* Serve on [node] (possibly a steal victim); on an outage mid-flight,
+     fail over to the remaining candidates. *)
+  and execute p ~node ~stolen rest =
+    let now = Desim.Engine.now sim in
+    (match Breaker.state breakers.(node) ~at:now with
+    | Breaker.Half_open -> Breaker.mark_probe breakers.(node)
+    | _ -> ());
+    let nd = Substrate.node sub node in
+    let prev_peak = nd.Substrate.peak_inflight in
+    Substrate.acquire sub ~node;
+    if nd.Substrate.inflight > prev_peak then begin
+      match instr with
+      | None -> ()
+      | Some i ->
+          Obs.Metrics.set i.i_saturation.(node)
+            (float_of_int nd.Substrate.inflight
+            /. float_of_int nd.Substrate.slots)
+    end;
+    let s =
+      service_us spec p.p_decision
+      +.
+      match stolen with
+      | Some pk when pk.Steal.resync -> spec.steal.Steal.transfer_penalty_us
+      | _ -> 0.0
+    in
+    match next_failure node now s with
+    | None ->
+        Desim.Engine.schedule sim ~delay:s (fun _ ->
+            complete p ~node ~stolen ~from:now)
+    | Some tf ->
+        (* The outage kills this attempt in flight: fail over to the
+           next replica at the failure time. *)
+        Desim.Engine.schedule_at sim ~time:tf (fun _ ->
+            fail_over p ~node ~from:now ~tf rest)
+  and complete p ~node ~stolen ~from =
+    let tdone = Desim.Engine.now sim in
+    Substrate.release sub ~node;
+    Breaker.record_success breakers.(node) ~at:tdone;
+    if breaker_watch then sync_breaker node ~at:tdone;
+    served.(node) <- served.(node) + 1;
+    inc_node (fun i -> i.i_served) node;
+    (match (stolen, instr) with
+    | Some _, Some i -> Obs.Metrics.observe i.i_steal_latency (tdone -. p.p_t0)
+    | _ -> ());
+    attempt_span p ~node ~from "ok" ~until:tdone;
+    respond ~idx:p.p_idx ~app:p.p_app ~t0:p.p_t0
+      (Full { node; decision = p.p_decision })
+  and fail_over p ~node ~from ~tf rest =
+    Substrate.release sub ~node;
+    Breaker.record_failure breakers.(node) ~at:tf;
+    if breaker_watch then sync_breaker node ~at:tf;
+    incr failovers;
+    inc_node (fun i -> i.i_failover) node;
+    if observing then
+      Obs.Events.record ev ~ts:tf ~request:p.p_idx ~node
+        (Obs.Events.Request_failover { from_node = node });
+    attempt_span p ~node ~from "failover" ~until:tf;
+    try_candidates p rest
+  in
+  (* Admit one arrival: a failed decision answers at once, a good one
+     starts the ladder's first round. *)
   let start_request idx ~app ~t0 ~(request : Request.t) ~decision =
     incr issued;
     let type_id = request.Request.type_id in
@@ -639,264 +973,23 @@ let run ?obs (spec : spec) =
     if observing then
       Obs.Events.record ev ~ts:t0 ~request:idx
         (Obs.Events.Request_admitted { app; type_id });
-    let respond r =
-      let now = Desim.Engine.now sim in
-      incr answered;
-      if retain then Vec.set outcomes idx (Some r);
-      let lat = now -. t0 in
-      Workload.Stats.add lat_acc lat;
-      lat_sum := !lat_sum +. lat;
-      if lat > !lat_max then lat_max := lat;
-      (match r with
-      | Full { node; decision } ->
-          incr full_c;
-          if observing then
-            Obs.Events.record ev ~ts:now ~request:idx ~node
-              (Obs.Events.Request_completed
-                 {
-                   at_node = node;
-                   impl_id = decision.Engine.impl_id;
-                   latency_us = lat;
-                 });
-          inc (fun i -> i.i_full)
-      | Degraded { stale_impl; reason } ->
-          incr degraded_c;
-          reason_counts.(reason_index reason) <-
-            reason_counts.(reason_index reason) + 1;
-          if observing then
-            Obs.Events.record ev ~ts:now ~request:idx
-              (Obs.Events.Request_degraded
-                 { reason = reason_to_string reason; stale_impl });
-          inc (fun i -> i.i_degraded)
-      | Failed msg ->
-          incr failed_c;
-          if observing then
-            Obs.Events.record ev ~ts:now ~request:idx
-              (Obs.Events.Request_failed { error = msg });
-          inc (fun i -> i.i_failed));
-      (match instr with
-      | None -> ()
-      | Some i -> Obs.Metrics.observe i.i_latency lat);
-      (* Overlapping requests forbid B/E nesting; X events carry their
-         own extent and Perfetto nests them by time containment. *)
-      if Obs.Tracer.enabled tracer then
-        Obs.Tracer.complete tracer ~ts:t0 ~dur:lat
-          ~args:
-            [
-              ("request", string_of_int idx);
-              ("app", app);
-              ("outcome", response_tag r);
-            ]
-          "request";
-      List.iter
-        (fun st ->
-          match
-            Obs.Slo.record st.st_slo ~at:now ~good:(st.st_good r lat)
-          with
-          | None -> ()
-          | Some al ->
-              if observing then
-                Obs.Events.record ev ~ts:now
-                  (Obs.Events.Slo_alert
-                     {
-                       objective = st.st_name;
-                       state =
-                         Obs.Slo.transition_to_string
-                           al.Obs.Slo.al_transition;
-                       burn_fast = al.Obs.Slo.al_burn_fast;
-                       burn_slow = al.Obs.Slo.al_burn_slow;
-                     }))
-        slos
-    in
     match decision with
-    | Error e -> respond (Failed (Engine.error_to_string e))
+    | Error e -> respond ~idx ~app ~t0 (Failed (Engine.error_to_string e))
     | Ok decision ->
-        let replicas = Substrate.replicas_for sub ~type_id in
-        let rec round attempt _e =
-          let now = Desim.Engine.now sim in
-          let tq = query_time now in
-          let saw_breaker = ref false in
-          let saw_down = ref false in
-          let saw_saturated = ref false in
-          (* Skip detector-down / re-syncing / breaker-open replicas;
-             suspects stay eligible but go to the back of the line. *)
-          let ups, suspects =
-            List.fold_left
-              (fun (ups, sus) node ->
-                if breaker_watch then sync_breaker node ~at:now;
-                match Health.status detector ~node ~at:tq with
-                | Health.Down ->
-                    saw_down := true;
-                    (ups, sus)
-                | _ when now < resync_until.(node) ->
-                    saw_down := true;
-                    (ups, sus)
-                | _ when not (Breaker.allows breakers.(node) ~at:now) ->
-                    saw_breaker := true;
-                    (ups, sus)
-                | Health.Suspect -> (ups, node :: sus)
-                | Health.Up -> (node :: ups, sus))
-              ([], []) replicas
-          in
-          let candidates = List.rev ups @ List.rev suspects in
-          let rec try_candidates = function
-            | [] ->
-                if attempt < spec.max_retries then begin
-                  incr retries;
-                  inc (fun i -> i.i_retries);
-                  let u =
-                    if spec.backoff.Faults.Backoff.jitter > 0.0 then
-                      Faults.Injector.uniform retry_inj
-                    else 0.5
-                  in
-                  let delay = Faults.Backoff.delay spec.backoff ~attempt ~u in
-                  if observing then
-                    Obs.Events.record ev ~ts:(Desim.Engine.now sim)
-                      ~request:idx
-                      (Obs.Events.Request_retry { attempt; delay_us = delay });
-                  Desim.Engine.schedule sim ~delay (round (attempt + 1))
-                end
-                else
-                  let reason =
-                    if !saw_saturated then Saturated
-                    else if !saw_breaker then Breaker_open
-                    else if !saw_down then All_replicas_down
-                    else Retries_exhausted
-                  in
-                  respond
-                    (Degraded
-                       { stale_impl = Some decision.Engine.impl_id; reason })
-            | node :: rest -> dispatch node rest
-          (* Serve on [node] (possibly a steal victim); on an outage
-             mid-flight, fail over to the remaining candidates. *)
-          and execute ~node ~stolen rest =
-            let now = Desim.Engine.now sim in
-            (match Breaker.state breakers.(node) ~at:now with
-            | Breaker.Half_open -> Breaker.mark_probe breakers.(node)
-            | _ -> ());
-            let prev_peak = (Substrate.node sub node).Substrate.peak_inflight in
-            Substrate.acquire sub ~node;
-            let inflight_now, slots = Substrate.load sub ~node in
-            if inflight_now > prev_peak then begin
-              match instr with
-              | None -> ()
-              | Some i ->
-                  Obs.Metrics.set i.i_saturation.(node)
-                    (float_of_int inflight_now /. float_of_int slots)
-            end;
-            let s =
-              service_us spec decision
-              +.
-              match stolen with
-              | Some p when p.Steal.resync ->
-                  spec.steal.Steal.transfer_penalty_us
-              | _ -> 0.0
-            in
-            let attempt_span outcome ~until =
-              if Obs.Tracer.enabled tracer then
-                Obs.Tracer.complete tracer ~ts:now ~dur:(until -. now)
-                  ~args:
-                    [
-                      ("request", string_of_int idx);
-                      ("node", string_of_int node);
-                      ("outcome", outcome);
-                    ]
-                  "attempt"
-            in
-            match next_failure node now s with
-            | None ->
-                Desim.Engine.schedule sim ~delay:s (fun _ ->
-                    let tdone = Desim.Engine.now sim in
-                    Substrate.release sub ~node;
-                    Breaker.record_success breakers.(node) ~at:tdone;
-                    if breaker_watch then sync_breaker node ~at:tdone;
-                    served.(node) <- served.(node) + 1;
-                    inc (fun i -> i.i_served.(node));
-                    (match (stolen, instr) with
-                    | Some _, Some i ->
-                        Obs.Metrics.observe i.i_steal_latency (tdone -. t0)
-                    | _ -> ());
-                    attempt_span "ok" ~until:tdone;
-                    respond (Full { node; decision }))
-            | Some tf ->
-                (* The outage kills this attempt in flight: fail
-                   over to the next replica at the failure time. *)
-                Desim.Engine.schedule_at sim ~time:tf (fun _ ->
-                    Substrate.release sub ~node;
-                    Breaker.record_failure breakers.(node) ~at:tf;
-                    if breaker_watch then sync_breaker node ~at:tf;
-                    incr failovers;
-                    inc (fun i -> i.i_failover.(node));
-                    if observing then
-                      Obs.Events.record ev ~ts:tf ~request:idx ~node
-                        (Obs.Events.Request_failover { from_node = node });
-                    attempt_span "failover" ~until:tf;
-                    try_candidates rest)
-          and dispatch node rest =
-            let now = Desim.Engine.now sim in
-            let inflight_n, slots = Substrate.load sub ~node in
-            let steal_pick =
-              if
-                spec.steal.Steal.enabled
-                && Steal.overloaded spec.steal ~inflight:inflight_n ~slots
-              then begin
-                let eligible v =
-                  if breaker_watch then sync_breaker v ~at:now;
-                  Health.status detector ~node:v ~at:tq = Health.Up
-                  && now >= resync_until.(v)
-                  && Breaker.allows breakers.(v) ~at:now
-                in
-                let pick =
-                  Steal.select spec.steal ~salt:idx ~donor:node ~replicas
-                    ~members:(Substrate.members sub) ~eligible
-                    ~load:(fun v -> Substrate.load sub ~node:v)
-                    ~holds:(fun v -> Substrate.holds sub ~node:v ~type_id)
-                in
-                (match pick with
-                | Some p ->
-                    incr steals;
-                    donated.(node) <- donated.(node) + 1;
-                    stolen.(p.Steal.victim) <- stolen.(p.Steal.victim) + 1;
-                    inc (fun i -> i.i_donated.(node));
-                    inc (fun i -> i.i_stolen.(p.Steal.victim));
-                    if observing then
-                      Obs.Events.record ev ~ts:now ~request:idx ~node
-                        (Obs.Events.Request_steal
-                           {
-                             from_node = node;
-                             to_node = Some p.Steal.victim;
-                             scope = Steal.scope_to_string p.Steal.scope;
-                           })
-                | None ->
-                    incr steal_denials;
-                    inc (fun i -> i.i_steal_denied);
-                    if observing then
-                      Obs.Events.record ev ~ts:now ~request:idx ~node
-                        (Obs.Events.Request_steal
-                           { from_node = node; to_node = None; scope = "denied" }));
-                pick
-              end
-              else None
-            in
-            match steal_pick with
-            | Some p -> execute ~node:p.Steal.victim ~stolen:(Some p) rest
-            | None ->
-                if inflight_n >= slots then begin
-                  (* Saturated: shed towards the next replica, the
-                     [Parallel.Bqueue] contract at cluster scope. *)
-                  saw_saturated := true;
-                  shed.(node) <- shed.(node) + 1;
-                  inc (fun i -> i.i_shed.(node));
-                  if observing then
-                    Obs.Events.record ev ~ts:now ~request:idx ~node
-                      (Obs.Events.Request_shed { at_node = node });
-                  try_candidates rest
-                end
-                else execute ~node ~stolen:None rest
-          in
-          try_candidates candidates
-        in
-        round 0 sim
+        round
+          {
+            p_idx = idx;
+            p_app = app;
+            p_t0 = t0;
+            p_type = type_id;
+            p_decision = decision;
+            p_replicas = Substrate.replicas_for sub ~type_id;
+            p_attempt = 0;
+            p_tq = t0;
+            p_saw_breaker = false;
+            p_saw_down = false;
+            p_saw_saturated = false;
+          }
   in
   (* Feed the arrivals.  Pregenerated mode expands the whole trace,
      shards the decisions over [jobs] and schedules every arrival as a
@@ -1023,8 +1116,8 @@ let run ?obs (spec : spec) =
           [ Breaker_open; All_replicas_down; Saturated; Retries_exhausted ];
       per_node;
       mean_latency_us =
-        (if n_req = 0 then 0.0 else !lat_sum /. float_of_int n_req);
-      max_latency_us = !lat_max;
+        (if n_req = 0 then 0.0 else lat.lat_sum /. float_of_int n_req);
+      max_latency_us = lat.lat_max;
       latency = Workload.Stats.finalize lat_acc;
       outcomes = outcomes_arr;
       request_meta = Vec.to_array meta;

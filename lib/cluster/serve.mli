@@ -201,7 +201,8 @@ val workload : spec -> (string * float * Qos_core.Request.t) array
 (** The arrival trace — (app, arrival time, request) in submission
     order, honouring [max_requests] and [load_scale].  A pure function
     of the seed, apps and horizon; exposed for property tests and the
-    bench harness. *)
+    bench harness.  @raise Invalid_argument when [load_scale] is not
+    finite and positive. *)
 
 val run : ?obs:Obs.Ctx.t -> spec -> (report, string) result
 (** With [obs], the control phase streams per-node labelled metrics
@@ -215,7 +216,11 @@ val run : ?obs:Obs.Ctx.t -> spec -> (report, string) result
     context's clock follows the control engine.  All of it happens in
     the sequential control phase, so every export is byte-identical at
     any [jobs].  Instrumentation never touches the PRNG or injector
-    streams, so the report is identical with or without it. *)
+    streams, so the report is identical with or without it.
+
+    [Error] before anything runs when [duration_us] or [load_scale] is
+    not finite and positive, or a transient outage duration is
+    negative; [Error] also when the substrate refuses the case base. *)
 
 val results_to_string : report -> string
 (** Canonical plain-text rendering: run header, totals, latency

@@ -38,6 +38,24 @@ let make ~type_id triples =
           (fun () -> { type_id; constraints })
           (check_unique constraints)
 
+(* Rebuild [constraints] with [values.(i)] as the [i]-th value; written
+   as a top-level function so the per-call cost is the new list alone. *)
+let rec revalue values i = function
+  | [] -> []
+  | c :: rest ->
+      let value = Array.unsafe_get values i in
+      if value < 0 || value > Attr.max_word then
+        invalid_arg
+          (Printf.sprintf "Request.replace_values: value %d on attribute %d \
+                           outside [0, %d]"
+             value c.attr Attr.max_word)
+      else { c with value } :: revalue values (i + 1) rest
+
+let replace_values t values =
+  if Array.length values <> List.length t.constraints then
+    invalid_arg "Request.replace_values: one value per constraint required"
+  else { t with constraints = revalue values 0 t.constraints }
+
 let equal_weights ~type_id pairs =
   make ~type_id (List.map (fun (aid, v) -> (aid, v, 1.0)) pairs)
 

@@ -22,6 +22,15 @@ val make : type_id:int -> (Attr.id * Attr.value * float) list -> (t, string) res
     and out-of-word-range IDs/values.  An empty constraint list is
     legal (a pure type lookup). *)
 
+val replace_values : t -> Attr.value array -> t
+(** [replace_values t values] is [t] with the [i]-th constraint, in
+    attribute-ID order, carrying [values.(i)]; the type, attributes and
+    weights are [t]'s.  Because [t] already passed {!make}'s checks,
+    only the new values need checking, so this is the cheap way to
+    stamp out many requests of one validated shape.
+    @raise Invalid_argument when [values] has not exactly one entry per
+    constraint or a value lies outside [[0, Attr.max_word]]. *)
+
 val equal_weights : type_id:int -> (Attr.id * Attr.value) list -> (t, string) result
 (** Convenience: every constraint gets weight 1 (engines normalise). *)
 

@@ -176,17 +176,80 @@ let cruise_control =
 
 let standard_apps = [ mp3_player; video_scaler; automotive_ecu; cruise_control ]
 
-let instantiate rng template =
-  let jittered (aid, value, jitter, weight) =
-    let value =
-      if jitter = 0 then value
-      else value + Workload.Prng.int_in rng ~lo:(-jitter) ~hi:jitter
-    in
-    (aid, min (max value 0) Attr.max_word, weight)
+let clamp_word v = Int.min (Int.max v 0) Attr.max_word
+
+(* A template compiled for repeated draws.  [c_base] is the request at
+   the (clamped) nominal values, validated once by [Request.make]; the
+   arrays are in template order, which is the order the jitters are
+   drawn in, and [c_pos] maps each constraint to its position in the
+   request's attribute-sorted list. *)
+type compiled = {
+  c_base : Request.t;
+  c_pos : int array;
+  c_nominal : int array;
+  c_jitter : int array;
+  c_fixed : bool;  (* no jitter anywhere: every draw is [c_base] *)
+}
+
+let compile template =
+  let constraints = Array.of_list template.t_constraints in
+  let base =
+    get
+      (Request.make ~type_id:template.t_type_id
+         (List.map
+            (fun (aid, value, _, weight) -> (aid, clamp_word value, weight))
+            template.t_constraints))
   in
-  get
-    (Request.make ~type_id:template.t_type_id
-       (List.map jittered template.t_constraints))
+  let sorted = Array.of_list base.Request.constraints in
+  let position aid =
+    let rec find i = if sorted.(i).Request.attr = aid then i else find (i + 1) in
+    find 0
+  in
+  {
+    c_base = base;
+    c_pos = Array.map (fun (aid, _, _, _) -> position aid) constraints;
+    c_nominal = Array.map (fun (_, value, _, _) -> value) constraints;
+    c_jitter = Array.map (fun (_, _, jitter, _) -> jitter) constraints;
+    c_fixed = Array.for_all (fun (_, _, jitter, _) -> jitter = 0) constraints;
+  }
+
+(* Jitter in template order, clamp to the word range, then stamp the
+   values into the validated shape. *)
+let draw rng c =
+  if c.c_fixed then c.c_base
+  else begin
+    let values = Array.make (Array.length c.c_pos) 0 in
+    for k = 0 to Array.length c.c_pos - 1 do
+      let jitter = c.c_jitter.(k) in
+      let value =
+        if jitter = 0 then c.c_nominal.(k)
+        else c.c_nominal.(k) + Workload.Prng.int_in rng ~lo:(-jitter) ~hi:jitter
+      in
+      values.(c.c_pos.(k)) <- clamp_word value
+    done;
+    Request.replace_values c.c_base values
+  end
+
+type cycle = { compiled : compiled array; mutable cursor : int }
+
+let cycle profile =
+  { compiled = Array.of_list (List.map compile profile.templates); cursor = 0 }
+
+let next rng cy =
+  let count = Array.length cy.compiled in
+  if count = 0 then invalid_arg "Apps.next: profile has no templates";
+  let c = cy.compiled.(cy.cursor) in
+  cy.cursor <- (cy.cursor + 1) mod count;
+  draw rng c
+
+let inter_arrival profile rng =
+  match profile.arrival with
+  | Periodic -> profile.period_us
+  | Poisson -> Workload.Prng.exponential rng ~mean:profile.period_us
+
+let hold_time profile rng =
+  let lo, hi = profile.hold_us in
+  lo +. ((hi -. lo) *. Workload.Prng.float rng)
 
 (* Pull-based arrival source for one profile, for [Workload.Stream]:
    the draw order matches the pregenerated expansion exactly —
@@ -196,29 +259,21 @@ let instantiate rng template =
    would land at or past [horizon]; the source is then exhausted for
    good and draws nothing further. *)
 let arrival_source profile ~rng ~horizon =
-  let templates = profile.templates in
-  let count = List.length templates in
-  if count = 0 then invalid_arg "Apps.arrival_source: profile has no templates";
-  let cursor = ref 0 in
+  if profile.templates = [] then
+    invalid_arg "Apps.arrival_source: profile has no templates";
+  let templates = cycle profile in
   let clock = ref 0.0 in
   let exhausted = ref false in
   fun () ->
     if !exhausted then None
     else begin
-      let step =
-        match profile.arrival with
-        | Periodic -> profile.period_us
-        | Poisson -> Workload.Prng.exponential rng ~mean:profile.period_us
-      in
-      let t = !clock +. step in
+      let t = !clock +. inter_arrival profile rng in
       if t >= horizon then begin
         exhausted := true;
         None
       end
       else begin
         clock := t;
-        let template = List.nth templates !cursor in
-        cursor := (!cursor + 1) mod count;
-        Some (t, instantiate rng template)
+        Some (t, next rng templates)
       end
     end

@@ -43,10 +43,40 @@ val cruise_control : profile
 val standard_apps : profile list
 (** The four applications of Fig. 1. *)
 
-val instantiate :
-  Workload.Prng.t -> template -> Qos_core.Request.t
-(** Apply jitter to the nominal values (clamped to the 16-bit word
-    range). *)
+(** {1 Drawing requests}
+
+    A template is compiled once and then drawn from for every arrival;
+    this is the only way requests are made from templates. *)
+
+type compiled
+(** A template validated by [Qos_core.Request.make] at its nominal
+    values, ready for repeated draws. *)
+
+val compile : template -> compiled
+(** @raise Failure when the template is not a valid request shape
+    (bad type ID, attribute ID or weight, or a duplicate attribute). *)
+
+val draw : Workload.Prng.t -> compiled -> Qos_core.Request.t
+(** Jitter each nominal value uniformly within its +/- bound, in
+    template order (a zero bound draws nothing), and clamp it to the
+    16-bit word range.  A template without jitter returns the same
+    request every time and leaves [rng] untouched. *)
+
+type cycle
+(** A profile's compiled templates, drawn round-robin. *)
+
+val cycle : profile -> cycle
+
+val next : Workload.Prng.t -> cycle -> Qos_core.Request.t
+(** {!draw} the next template in the cycle.
+    @raise Invalid_argument when the profile has no templates. *)
+
+val inter_arrival : profile -> Workload.Prng.t -> float
+(** Gap to the next request: [period_us] for a periodic profile, an
+    exponential draw of that mean for a Poisson one. *)
+
+val hold_time : profile -> Workload.Prng.t -> float
+(** Task lifetime, uniform over [hold_us]. *)
 
 val arrival_source :
   profile ->

@@ -12,7 +12,8 @@ val schedule : t -> delay:float -> (t -> unit) -> unit
 (** [delay >= 0] relative to {!now}. @raise Invalid_argument otherwise. *)
 
 val schedule_at : t -> time:float -> (t -> unit) -> unit
-(** Absolute; must not be in the past. *)
+(** Absolute; must not be in the past.
+    @raise Invalid_argument on a NaN time or one before {!now}. *)
 
 val run : ?until:float -> t -> int
 (** Processes events in time order (insertion order among ties) until

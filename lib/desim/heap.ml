@@ -21,55 +21,54 @@ let grow t entry =
     t.data <- bigger
   end
 
+(* Both sifts move a hole rather than swapping: each level costs one
+   write, and the moving entry is stored once where the hole stops. *)
 let push t ~time payload =
   let entry = { time; seq = t.next_seq; payload } in
   t.next_seq <- t.next_seq + 1;
   grow t entry;
-  t.data.(t.size) <- entry;
+  let data = t.data in
+  let i = ref t.size in
   t.size <- t.size + 1;
-  (* Sift up. *)
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if precedes t.data.(i) t.data.(parent) then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(parent);
-        t.data.(parent) <- tmp;
-        up parent
-      end
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) / 2 in
+    if precedes entry data.(parent) then begin
+      data.(!i) <- data.(parent);
+      i := parent
     end
-  in
-  up (t.size - 1)
+    else moving := false
+  done;
+  data.(!i) <- entry
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      (* Sift down. *)
-      let rec down i =
-        let left = (2 * i) + 1 in
+let min_time t = if t.size = 0 then Float.infinity else t.data.(0).time
+
+(* Remove the root: the last entry sifts down from the hole it leaves. *)
+let pop_min t =
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  let data = t.data in
+  let top = data.(0) in
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then begin
+    let last = data.(n) in
+    let i = ref 0 in
+    let moving = ref true in
+    while !moving do
+      let left = (2 * !i) + 1 in
+      if left >= n then moving := false
+      else begin
         let right = left + 1 in
-        let smallest =
-          if left < t.size && precedes t.data.(left) t.data.(i) then left else i
+        let child =
+          if right < n && precedes data.(right) data.(left) then right else left
         in
-        let smallest =
-          if right < t.size && precedes t.data.(right) t.data.(smallest) then
-            right
-          else smallest
-        in
-        if smallest <> i then begin
-          let tmp = t.data.(i) in
-          t.data.(i) <- t.data.(smallest);
-          t.data.(smallest) <- tmp;
-          down smallest
+        if precedes data.(child) last then begin
+          data.(!i) <- data.(child);
+          i := child
         end
-      in
-      down 0
-    end;
-    Some (top.time, top.payload)
-  end
-
-let peek_time t = if t.size = 0 then None else Some t.data.(0).time
+        else moving := false
+      end
+    done;
+    data.(!i) <- last
+  end;
+  top.payload

@@ -10,7 +10,13 @@ val is_empty : 'a t -> bool
 val push : 'a t -> time:float -> 'a -> unit
 (** Sequence numbers are assigned internally. *)
 
-val pop : 'a t -> (float * 'a) option
-(** Smallest time (earliest inserted among equals), or [None]. *)
+val min_time : 'a t -> float
+(** Time of the entry {!pop_min} would remove next; [infinity] when the
+    heap is empty, so test {!is_empty} when an entry may itself be
+    scheduled at [infinity].  Allocates nothing: together with
+    {!pop_min} this is the event loop's allocation-free pair. *)
 
-val peek_time : 'a t -> float option
+val pop_min : 'a t -> 'a
+(** Remove the entry with the smallest time (earliest inserted among
+    equals) and return its payload; read its time with {!min_time}
+    first.  @raise Invalid_argument when the heap is empty. *)

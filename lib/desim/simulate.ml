@@ -72,26 +72,9 @@ type report = {
 type app_state = {
   profile : Apps.profile;
   rng : Workload.Prng.t;
-  mutable template_cursor : int;
+  templates : Apps.cycle;
   mutable metrics : app_metrics;
 }
-
-let next_template state =
-  let templates = state.profile.Apps.templates in
-  let template = List.nth templates state.template_cursor in
-  state.template_cursor <-
-    (state.template_cursor + 1) mod List.length templates;
-  template
-
-let inter_arrival state =
-  match state.profile.Apps.arrival with
-  | Apps.Periodic -> state.profile.Apps.period_us
-  | Apps.Poisson ->
-      Workload.Prng.exponential state.rng ~mean:state.profile.Apps.period_us
-
-let hold_time state =
-  let lo, hi = state.profile.Apps.hold_us in
-  lo +. ((hi -. lo) *. Workload.Prng.float state.rng)
 
 let run ?obs spec =
   let manager =
@@ -107,7 +90,7 @@ let run ?obs spec =
         {
           profile;
           rng = Workload.Prng.split root_rng;
-          template_cursor = 0;
+          templates = Apps.cycle profile;
           metrics = empty_metrics;
         })
       spec.apps
@@ -217,8 +200,7 @@ let run ?obs spec =
     end
   in
   let handle_request state engine =
-    let template = next_template state in
-    let request = Apps.instantiate state.rng template in
+    let request = Apps.next state.rng state.templates in
     let span =
       match sim_instr with
       | None -> None
@@ -251,7 +233,7 @@ let run ?obs spec =
           let energy_uj = ref 0.0 in
           if not grant.Manager.via_bypass then begin
             let task = grant.Manager.task in
-            let hold = hold_time state in
+            let hold = Apps.hold_time state.profile state.rng in
             (* mW x us = nJ; report uJ. *)
             energy_uj :=
               float_of_int task.Manager.units
@@ -283,7 +265,7 @@ let run ?obs spec =
   in
   let rec arrival state engine =
     handle_request state engine;
-    let delay = inter_arrival state in
+    let delay = Apps.inter_arrival state.profile state.rng in
     if Engine.now engine +. delay <= spec.duration_us then
       Engine.schedule engine ~delay (fun engine -> arrival state engine)
   in

@@ -152,25 +152,8 @@ let scrub_request apps =
 type app_state = {
   profile : Apps.profile;
   rng : Workload.Prng.t;
-  mutable template_cursor : int;
+  templates : Apps.cycle;
 }
-
-let next_template state =
-  let templates = state.profile.Apps.templates in
-  let template = List.nth templates state.template_cursor in
-  state.template_cursor <-
-    (state.template_cursor + 1) mod List.length templates;
-  template
-
-let inter_arrival state =
-  match state.profile.Apps.arrival with
-  | Apps.Periodic -> state.profile.Apps.period_us
-  | Apps.Poisson ->
-      Workload.Prng.exponential state.rng ~mean:state.profile.Apps.period_us
-
-let hold_time state =
-  let lo, hi = state.profile.Apps.hold_us in
-  lo +. ((hi -. lo) *. Workload.Prng.float state.rng)
 
 let run ?obs spec =
   let base = spec.base in
@@ -188,7 +171,11 @@ let run ?obs spec =
   let states =
     List.map
       (fun profile ->
-        { profile; rng = Workload.Prng.split root_rng; template_cursor = 0 })
+        {
+          profile;
+          rng = Workload.Prng.split root_rng;
+          templates = Apps.cycle profile;
+        })
       base.Simulate.apps
   in
   let injector =
@@ -324,8 +311,7 @@ let run ?obs spec =
     end
   in
   let handle_request state engine =
-    let template = next_template state in
-    let request = Apps.instantiate state.rng template in
+    let request = Apps.next state.rng state.templates in
     let outcome =
       Negotiation.negotiate ~max_rounds:base.Simulate.max_negotiation_rounds
         manager
@@ -364,7 +350,7 @@ let run ?obs spec =
         if grant.Manager.via_bypass then incr bypass_grants
         else begin
           let task = grant.Manager.task in
-          let hold = hold_time state in
+          let hold = Apps.hold_time state.profile state.rng in
           let release_at = Engine.now engine +. hold in
           Hashtbl.replace live_tasks task.Manager.task_id
             (request, release_at);
@@ -374,7 +360,7 @@ let run ?obs spec =
   in
   let rec arrival state engine =
     handle_request state engine;
-    let delay = inter_arrival state in
+    let delay = Apps.inter_arrival state.profile state.rng in
     if Engine.now engine +. delay <= duration then
       Engine.schedule engine ~delay (fun engine -> arrival state engine)
   in

@@ -141,19 +141,31 @@ let retrieve t (request : Request.t) =
   | Some ct when Array.length ct.impl_ids = 0 ->
       Error (E.No_implementations request.Request.type_id)
   | Some ct ->
-      let constrs = Request.normalized_weights request in
-      let n = List.length constrs in
+      (* [Request.normalized_weights] inline: the same left-to-right
+         sum and per-constraint division, so the Q15 weights are
+         bit-identical, without building the intermediate list. *)
+      let constrs = request.Request.constraints in
+      let count = List.length constrs in
+      let total = ref 0.0 and rest = ref constrs in
+      for _ = 1 to count do
+        total := !total +. (List.hd !rest).Request.weight;
+        rest := List.tl !rest
+      done;
+      let total = !total in
+      let n = if total <= 0.0 then 0 else count in
       let c_id = Array.make n 0
       and c_val = Array.make n 0
       and c_w = Array.make n 0
       and c_recip = Array.make n 0 in
-      List.iteri
-        (fun i (aid, v, w) ->
-          c_id.(i) <- aid;
-          c_val.(i) <- v;
-          c_w.(i) <- Q.to_raw (Q.of_float w);
-          c_recip.(i) <- recip_of t aid)
-        constrs;
+      let rest = ref constrs in
+      for i = 0 to n - 1 do
+        let c = List.hd !rest in
+        c_id.(i) <- c.Request.attr;
+        c_val.(i) <- c.Request.value;
+        c_w.(i) <- Q.to_raw (Q.of_float (c.Request.weight /. total));
+        c_recip.(i) <- recip_of t c.Request.attr;
+        rest := List.tl !rest
+      done;
       let sorted = ref true in
       for i = 1 to n - 1 do
         if c_id.(i) < c_id.(i - 1) then sorted := false

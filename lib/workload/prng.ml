@@ -1,22 +1,32 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a boxed
+   [int64] field: reading and writing it through [Bytes.get/set_int64_le]
+   keeps every intermediate unboxed, so a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (Int64.of_int seed)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let copy = Bytes.copy
+
+let[@inline] int64 t =
+  let z = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = int64 t }
+(* The low 62 bits of a draw, which always fit OCaml's 63-bit int. *)
+let[@inline] bits62 t = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL)
 
-(* Largest 62-bit value: draws are masked to 62 bits so they always fit
-   OCaml's 63-bit native int. *)
+let split t = of_state (int64 t)
+
+(* Largest 62-bit value, the upper bound of [bits62]. *)
 let max62 = 0x3FFFFFFFFFFFFFFF
 
 let int t ~bound =
@@ -30,11 +40,11 @@ let int t ~bound =
        [((max62 mod bound) + 1) mod bound]. *)
     let tail = ((max62 mod bound) + 1) mod bound in
     let accept_max = max62 - tail in
-    let rec draw () =
-      let raw = Int64.to_int (Int64.logand (int64 t) 0x3FFFFFFFFFFFFFFFL) in
-      if raw <= accept_max then raw mod bound else draw ()
-    in
-    draw ()
+    let raw = ref (bits62 t) in
+    while !raw > accept_max do
+      raw := bits62 t
+    done;
+    !raw mod bound
 
 let int_in t ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi"
@@ -46,7 +56,7 @@ let int_in t ~lo ~hi =
            "Prng.int_in: range [%d, %d] spans more than max_int values" lo hi)
     else lo + int t ~bound:range
 
-let float t =
+let[@inline] float t =
   let raw = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
   raw /. 9007199254740992.0 (* 2^53 *)
 

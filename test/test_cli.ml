@@ -384,6 +384,24 @@ let test_parallel_flags () =
   let code, _ = run_cli "simulate --duration-us 2000 --jobs 0" in
   check_int "jobs 0 rejected" 1 code
 
+(* A serve spec the run rejects is an input error: a one-line
+   diagnostic and exit 2, never an uncaught exception (exit 125) or a
+   run that never ends. *)
+let test_serve_malformed_input () =
+  List.iter
+    (fun args ->
+      let code, out = run_cli ("serve " ^ args) in
+      check_int (args ^ ": exit 2") 2 code;
+      check_bool (args ^ ": diagnostic") true (contains out "qosalloc: serve:");
+      check_bool (args ^ ": no uncaught exception") false
+        (contains out "uncaught exception"))
+    [
+      "--load-scale 0 --stream --requests 100";
+      "--load-scale nan --stream --requests 100";
+      "--duration-us inf --stream --requests 100";
+      "--duration-us nan";
+    ]
+
 let test_faults_observability () =
   let prom = Filename.concat tmp_dir "faults.prom" in
   let code, _ =
@@ -426,6 +444,8 @@ let () =
             test_faults_degraded_exit1;
           Alcotest.test_case "faults unrecovered exit 2" `Quick
             test_faults_unrecovered_exit2;
+          Alcotest.test_case "serve malformed input exit 2" `Quick
+            test_serve_malformed_input;
           Alcotest.test_case "faults stable json" `Quick
             test_faults_json_deterministic;
           Alcotest.test_case "faults unknown device" `Quick

@@ -288,6 +288,56 @@ let test_serve_rejects_negative_outages () =
       Alcotest.(check string)
         "diagnostic" "serve: transient outage durations must be >= 0" e
 
+(* Malformed inputs are refused up front: before this check a zero or
+   NaN load scale escaped as an uncaught exception and an infinite or
+   NaN horizon never finished. *)
+let test_serve_rejects ~duration_us ~load_scale expected () =
+  let s = { (spec ~duration_us ()) with Serve.load_scale; source = Serve.Stream;
+            max_requests = Some 100 } in
+  match Serve.run s with
+  | Ok _ -> Alcotest.fail "malformed spec accepted"
+  | Error e -> Alcotest.(check string) "diagnostic" expected e
+
+let malformed_cases =
+  [
+    ("load_scale 0", 20_000.0, 0.0, "serve: load_scale must be finite and > 0 (got 0)");
+    ("load_scale nan", 20_000.0, Float.nan,
+     "serve: load_scale must be finite and > 0 (got nan)");
+    ("load_scale inf", 20_000.0, Float.infinity,
+     "serve: load_scale must be finite and > 0 (got inf)");
+    ("load_scale negative", 20_000.0, -2.0,
+     "serve: load_scale must be finite and > 0 (got -2)");
+    ("duration inf", Float.infinity, 1.0,
+     "serve: duration_us must be finite and > 0 (got inf)");
+    ("duration nan", Float.nan, 1.0,
+     "serve: duration_us must be finite and > 0 (got nan)");
+    ("duration 0", 0.0, 1.0, "serve: duration_us must be finite and > 0 (got 0)");
+  ]
+
+(* The streamed serve path's allocation budget, in minor words per
+   request for the whole run.  Deterministic for a given compiler, so a
+   change that brings back per-request closures, option boxes or
+   boxed sorting fails here rather than only in a benchmark. *)
+let test_serve_alloc_budget () =
+  let n = 20_000 in
+  let s =
+    {
+      (Serve.default_spec ()) with
+      Serve.seed = 5;
+      load_scale = 400.0;
+      source = Serve.Stream;
+      max_requests = Some n;
+      retain_requests = false;
+    }
+  in
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let r = get (Serve.run s) in
+  let per_req = (Gc.minor_words () -. w0) /. float_of_int r.Serve.requests in
+  check_int "requests" n r.Serve.requests;
+  if per_req > 160.0 then
+    Alcotest.failf "%.1f minor words per request, budget 160" per_req
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -460,6 +510,53 @@ let test_serve_steal () =
     (String.equal d
        (Serve.results_digest
           (get (Serve.run (steal_spec ~enabled:true ~source:Serve.Stream ())))))
+
+(* Steal, shed, retry and failover in one run, digests pinned from the
+   ladder as it stood before its stages became functions over a
+   per-request record.  The bounce campaign leaves the detector behind
+   ground truth, so suspects are on the path too: the first spec pins
+   how a round's saturation flag resets, the second how suspects queue
+   behind the up replicas. *)
+let test_serve_ladder_digest () =
+  let bounce ~kill ~mean ~down =
+    {
+      outage_spec with
+      Outages.permanent_frac = kill;
+      transient_mean_us = Some mean;
+      transient_down_us = down;
+    }
+  in
+  let hot =
+    {
+      (steal_spec ~enabled:true ()) with
+      Serve.outage = bounce ~kill:0.34 ~mean:800.0 ~down:(100.0, 400.0);
+    }
+  in
+  let suspects =
+    {
+      (spec ~duration_us:4_000.0 ~seed:6 ~nodes:5 ()) with
+      Serve.load_scale = 1500.0;
+      steal =
+        { Steal.default with Steal.enabled = true; threshold = 0.5; seed = 6 };
+      outage = bounce ~kill:0.3 ~mean:800.0 ~down:(100.0, 400.0);
+    }
+  in
+  List.iter
+    (fun (name, s, digest) ->
+      List.iter
+        (fun source ->
+          let r = get (Serve.run { s with Serve.source }) in
+          let name = name ^ " " ^ Serve.source_to_string source in
+          check_bool (name ^ ": every rung is on the path") true
+            (r.Serve.failovers > 0 && r.Serve.steals > 0 && r.Serve.sheds > 0
+           && r.Serve.retries > 0);
+          Alcotest.(check string) (name ^ ": pinned digest") digest
+            (Serve.results_digest r))
+        [ Serve.Pregenerated; Serve.Stream ])
+    [
+      ("hot", hot, "2d89abffde3ee0feb49b07efed4b1867");
+      ("suspects", suspects, "11ad6c9e435199411f8790ae5791d916");
+    ]
 
 let test_serve_steal_events () =
   let obs = events_ctx () in
@@ -834,6 +931,8 @@ let () =
           Alcotest.test_case "chaos acceptance" `Quick
             test_serve_chaos_acceptance;
           Alcotest.test_case "degraded path" `Quick test_serve_degraded_path;
+          Alcotest.test_case "ladder digest" `Quick test_serve_ladder_digest;
+          Alcotest.test_case "allocation budget" `Quick test_serve_alloc_budget;
           Alcotest.test_case "negative outage durations" `Quick
             test_serve_rejects_negative_outages;
           Alcotest.test_case "obs metrics" `Quick test_serve_obs;
@@ -844,5 +943,11 @@ let () =
           Alcotest.test_case "event log disabled" `Quick
             test_serve_eventlog_absent_when_disabled;
         ] );
+      ( "rejects",
+        List.map
+          (fun (name, duration_us, load_scale, expected) ->
+            Alcotest.test_case name `Quick
+              (test_serve_rejects ~duration_us ~load_scale expected))
+          malformed_cases );
       ("properties", props);
     ]

@@ -18,15 +18,15 @@ let test_heap_ordering () =
     (fun (t, v) -> H.push h ~time:t v)
     [ (5.0, "e"); (1.0, "a"); (3.0, "c"); (2.0, "b"); (4.0, "d") ];
   check_int "size" 5 (H.size h);
-  check_bool "peek" true (H.peek_time h = Some 1.0);
-  let order = List.init 5 (fun _ -> snd (Option.get (H.pop h))) in
+  check_bool "peek" true (H.min_time h = 1.0);
+  let order = List.init 5 (fun _ -> H.pop_min h) in
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c"; "d"; "e" ] order;
-  check_bool "drained" true (H.pop h = None)
+  check_bool "drained" true (H.is_empty h && H.min_time h = Float.infinity)
 
 let test_heap_stable_ties () =
   let h = H.create () in
   List.iter (fun v -> H.push h ~time:1.0 v) [ 1; 2; 3; 4 ];
-  let order = List.init 4 (fun _ -> snd (Option.get (H.pop h))) in
+  let order = List.init 4 (fun _ -> H.pop_min h) in
   Alcotest.(check (list int)) "ties fire in insertion order" [ 1; 2; 3; 4 ] order
 
 let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
@@ -39,11 +39,53 @@ let heap_props =
         let h = H.create () in
         List.iter (fun t -> H.push h ~time:t ()) times;
         let rec drain last =
-          match H.pop h with
-          | None -> true
-          | Some (t, ()) -> t >= last && drain t
+          H.is_empty h
+          ||
+          let t = H.min_time h in
+          H.pop_min h;
+          t >= last && drain t
         in
         drain neg_infinity);
+    (* Interleaved push / pop / min_time against a reference: the
+       pending entries stable-sorted by time, so equal times must leave
+       in insertion order.  Times come from a small set to force ties. *)
+    prop "heap matches a stable sort under interleaved operations"
+      QCheck2.Gen.(
+        list_size (int_range 0 300)
+          (oneof
+             [
+               map (fun t -> `Push (float_of_int t)) (int_range 0 6);
+               return `Pop;
+               return `Min;
+             ]))
+      (fun ops ->
+        let h = H.create () in
+        let pending = ref [] and next_id = ref 0 in
+        let reference_min () =
+          match List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) !pending with
+          | [] -> None
+          | first :: _ -> Some first
+        in
+        List.for_all
+          (fun op ->
+            match op with
+            | `Push time ->
+                H.push h ~time !next_id;
+                pending := !pending @ [ (time, !next_id) ];
+                incr next_id;
+                H.size h = List.length !pending
+            | `Min -> (
+                match reference_min () with
+                | None -> H.is_empty h && H.min_time h = Float.infinity
+                | Some (time, _) -> H.min_time h = time)
+            | `Pop -> (
+                match reference_min () with
+                | None -> H.is_empty h
+                | Some ((time, id) as first) ->
+                    pending := List.filter (fun e -> e != first) !pending;
+                    let t = H.min_time h in
+                    t = time && H.pop_min h = id))
+          ops);
     prop "heap size tracks pushes and pops"
       QCheck2.Gen.(list_size (int_range 0 50) (float_range 0.0 10.0))
       (fun times ->
@@ -77,6 +119,20 @@ let test_engine_until () =
   check_int "two within the horizon" 2 fired;
   check_int "one pending" 1 (E.pending engine)
 
+let test_heap_pop_min_empty () =
+  Alcotest.check_raises "pop_min on empty"
+    (Invalid_argument "Heap.pop_min: empty heap") (fun () ->
+      ignore (H.pop_min (H.create () : unit H.t)))
+
+(* NaN compares false against everything, so it must never reach the
+   heap: one NaN entry would break the ordering for every other. *)
+let test_engine_nan_time () =
+  let engine = E.create () in
+  Alcotest.check_raises "schedule_at NaN"
+    (Invalid_argument "Engine.schedule_at: NaN time") (fun () ->
+      E.schedule_at engine ~time:Float.nan (fun _ -> ()));
+  check_int "nothing queued" 0 (E.pending engine)
+
 let test_engine_validation () =
   let engine = E.create () in
   Alcotest.check_raises "negative delay"
@@ -107,7 +163,7 @@ let test_instantiate_jitter () =
     }
   in
   for _ = 1 to 50 do
-    let r = A.instantiate rng template in
+    let r = A.draw rng (A.compile template) in
     let c1 = Option.get (Qos_core.Request.find r 1) in
     let c4 = Option.get (Qos_core.Request.find r 4) in
     check_bool "jitter within bounds" true
@@ -121,10 +177,75 @@ let test_instantiate_clamps () =
     { A.t_type_id = 1; t_constraints = [ (1, 1, 5, 1.0) ] }
   in
   for _ = 1 to 30 do
-    let r = A.instantiate rng template in
+    let r = A.draw rng (A.compile template) in
     let c = Option.get (Qos_core.Request.find r 1) in
     check_bool "clamped at zero" true (c.Qos_core.Request.value >= 0)
   done
+
+(* The per-arrival instantiation the compiled templates replaced:
+   jitter in template order, clamp, then validate and sort through
+   [Request.make].  Kept here as the oracle for [A.compile]/[A.draw]. *)
+let reference_instantiate rng (template : A.template) =
+  let jittered (aid, value, jitter, weight) =
+    let value =
+      if jitter = 0 then value
+      else value + Workload.Prng.int_in rng ~lo:(-jitter) ~hi:jitter
+    in
+    (aid, min (max value 0) Qos_core.Attr.max_word, weight)
+  in
+  Qos_core.Util.ok_exn ~ctx:"reference"
+    (Qos_core.Request.make ~type_id:template.A.t_type_id
+       (List.map jittered template.A.t_constraints))
+
+(* Random valid templates: distinct attribute IDs in random (unsorted)
+   order, frequent zero jitter, nominal values at and beyond both ends
+   of the word range so draws clamp at 0 and 65535. *)
+let template_gen =
+  let open QCheck2.Gen in
+  let value =
+    oneof
+      [ int_range (-3) 3; int_range 65530 65540; int_range 0 Qos_core.Attr.max_word ]
+  in
+  let jitter = oneof [ return 0; int_range 1 8; int_range 0 70000 ] in
+  let weight = float_range 0.05 4.0 in
+  let* type_id = int_range 1 6 in
+  let* attrs = shuffle_l [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] in
+  let* n = int_range 0 9 in
+  let* constraints =
+    flatten_l
+      (List.map
+         (fun aid ->
+           map3 (fun v j w -> (aid, v, j, w)) value jitter weight)
+         (List.filteri (fun i _ -> i < n) attrs))
+  in
+  return { A.t_type_id = type_id; t_constraints = constraints }
+
+let apps_props =
+  [
+    prop "compiled templates draw what instantiation drew"
+      QCheck2.Gen.(pair template_gen (int_range 0 10_000))
+      (fun (template, seed) ->
+        let oracle = Workload.Prng.create ~seed
+        and rng = Workload.Prng.create ~seed in
+        let compiled = A.compile template in
+        List.for_all
+          (fun _ ->
+            Qos_core.Request.equal
+              (reference_instantiate oracle template)
+              (A.draw rng compiled))
+          (List.init 20 Fun.id)
+        (* Same number of draws taken: the streams stay in lockstep. *)
+        && Int64.equal (Workload.Prng.int64 oracle) (Workload.Prng.int64 rng));
+  ]
+
+let test_cycle_round_robin () =
+  let rng = Workload.Prng.create ~seed:5 in
+  let cy = A.cycle A.mp3_player in
+  let types = List.init 5 (fun _ -> (A.next rng cy).Qos_core.Request.type_id) in
+  Alcotest.(check (list int)) "templates cycle in order" [ 3; 1; 3; 1; 3 ] types;
+  Alcotest.check_raises "no templates"
+    (Invalid_argument "Apps.next: profile has no templates") (fun () ->
+      ignore (A.next rng (A.cycle { A.mp3_player with A.templates = [] })))
 
 (* --- Simulation ------------------------------------------------------------------ *)
 
@@ -370,6 +491,7 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "stable ties" `Quick test_heap_stable_ties;
+          Alcotest.test_case "pop_min on empty" `Quick test_heap_pop_min_empty;
         ]
         @ heap_props );
       ( "engine",
@@ -377,13 +499,16 @@ let () =
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "until" `Quick test_engine_until;
           Alcotest.test_case "validation" `Quick test_engine_validation;
+          Alcotest.test_case "nan time" `Quick test_engine_nan_time;
         ] );
       ( "apps",
         [
           Alcotest.test_case "reference casebase" `Quick test_reference_casebase;
           Alcotest.test_case "jitter" `Quick test_instantiate_jitter;
           Alcotest.test_case "clamping" `Quick test_instantiate_clamps;
-        ] );
+          Alcotest.test_case "cycle" `Quick test_cycle_round_robin;
+        ]
+        @ apps_props );
       ( "simulation",
         [
           Alcotest.test_case "deterministic" `Quick test_simulation_deterministic;

@@ -18,6 +18,78 @@ let test_prng_deterministic () =
   check_bool "different seed diverges" true
     (not (Int64.equal (P.int64 (P.create ~seed:123)) (P.int64 c)))
 
+(* Known-answer vectors: the first draws of each kind for a few seeds,
+   as the splitmix64 generator has always produced them.  Every seeded
+   workload, trace and digest in the repository rests on this stream,
+   so a change to the state's representation must leave it bit for bit
+   as it is. *)
+let prng_vectors =
+  [
+    ( 0,
+      [ (-2152535657050944081L); 7960286522194355700L; 487617019471545679L ],
+      [ 823; 796; 679 ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6 ],
+      [ 0x1.57b7f750f28adp+4; 0x1.69795bce7f0d7p+2; 0x1.1252def4e24bap-2 ],
+      [ 9; (-26); 24 ],
+      ((-6411193824288604561L), 7960286522194355700L) );
+    ( 1,
+      [ (-7995527694508729151L); (-4689498862643123097L); (-534904783426661026L) ],
+      [ 657; 711; 878 ],
+      [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1 ],
+      [ 0x1.0b8592cae461p+3; 0x1.b642882d6d9b2p+3; 0x1.1b3e8de0b0958p+5 ],
+      [ (-34); (-14); (-13) ],
+      (6791897765849424158L, (-4689498862643123097L)) );
+    ( 42,
+      [ (-4767286540954276203L); 2949826092126892291L; 5139283748462763858L ],
+      [ 605; 291; 954 ],
+      [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2 ],
+      [ 0x1.b0fed1f9294abp+3; 0x1.be12543309a76p+0; 0x1.a200306cb2dccp+1 ],
+      [ (-20); 6; (-8) ],
+      (6332618229526065668L, 2949826092126892291L) );
+    ( 2026,
+      [ (-2622126769270649565L); 8699989649721214301L; (-6136402475954816882L) ],
+      [ 339; 397; 926 ],
+      [ 0x1.b738ab3123291p-1; 0x1.e2f249f7b4d5p-2; 0x1.55ae3ceb9bc57p-1 ],
+      [ 0x1.3824f3b9046f6p+4; 0x1.984a4e82244ffp+2; 0x1.60352f496eaecp+3 ],
+      [ (-33); 18; (-13) ],
+      (7959393617856205470L, 8699989649721214301L) );
+    ( (-5),
+      [ 1635312068028924514L; (-8161798454662654712L); (-2167467587980096447L) ],
+      [ 514; 96; 457 ],
+      [ 0x1.6b1cba95fc6p-4; 0x1.1d76ef18db002p-1; 0x1.c3d7376cc88c1p-1 ],
+      [ 0x1.db487ff014c13p-1; 0x1.04ef7ad982302p+3; 0x1.569ccfbf2beecp+4 ],
+      [ 12; (-34); 35 ],
+      ((-5970105824593227592L), (-8161798454662654712L)) );
+  ]
+
+let test_prng_known_answers () =
+  let draws3 seed f =
+    let rng = P.create ~seed in
+    List.init 3 (fun _ -> f rng)
+  in
+  let bits = List.map Int64.bits_of_float in
+  List.iter
+    (fun (seed, int64s, ints, floats, exps, int_ins, (child, parent)) ->
+      let name what = Printf.sprintf "seed %d: %s" seed what in
+      Alcotest.(check (list int64)) (name "int64") int64s (draws3 seed P.int64);
+      Alcotest.(check (list int))
+        (name "int ~bound:1000") ints
+        (draws3 seed (fun r -> P.int r ~bound:1000));
+      Alcotest.(check (list int64))
+        (name "float bits") (bits floats) (bits (draws3 seed P.float));
+      Alcotest.(check (list int64))
+        (name "exponential bits") (bits exps)
+        (bits (draws3 seed (fun r -> P.exponential r ~mean:10.0)));
+      Alcotest.(check (list int))
+        (name "int_in [-40, 40]") int_ins
+        (draws3 seed (fun r -> P.int_in r ~lo:(-40) ~hi:40));
+      let rng = P.create ~seed in
+      let c = P.split rng in
+      Alcotest.(check (pair int64 int64))
+        (name "split child, then parent") (child, parent)
+        (P.int64 c, P.int64 rng))
+    prng_vectors
+
 let test_prng_copy_and_split () =
   let a = P.create ~seed:9 in
   let _ = P.int64 a in
@@ -448,6 +520,47 @@ let stats_props =
             && s.St.minimum <= s.St.mean
             && s.St.mean <= s.St.maximum
             && s.St.stddev >= 0.0);
+    (* [finalize] sorts with its own float-specialised heap sort; the
+       summary must match one computed with the stdlib sort and folds,
+       bit for bit — signed zeros included, so the two sorts must also
+       agree on how they order values that compare equal. *)
+    prop "finalize matches the stdlib sort bit for bit"
+      QCheck2.Gen.(
+        list_size (int_range 1 300)
+          (oneof
+             [
+               float_range (-50.0) 50.0;
+               oneofl [ 0.0; -0.0; 1.0; -1.0 ];
+               map float_of_int (int_range (-5) 5);
+             ]))
+      (fun values ->
+        let acc = St.create () in
+        List.iter (St.add acc) values;
+        let s = Option.get (St.finalize acc) in
+        let sorted = Array.of_list values in
+        Array.sort Float.compare sorted;
+        let n = Array.length sorted in
+        let fn = float_of_int n in
+        let mu = Array.fold_left ( +. ) 0.0 sorted /. fn in
+        let var =
+          Array.fold_left (fun a v -> a +. ((v -. mu) ** 2.0)) 0.0 sorted /. fn
+        in
+        let at p =
+          let x = p *. fn /. 100.0 in
+          let rank =
+            max 1 (int_of_float (Float.ceil (x -. (1e-9 *. Float.max 1.0 x))))
+          in
+          sorted.(min (n - 1) (rank - 1))
+        in
+        let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+        same s.St.mean mu
+        && same s.St.stddev (sqrt var)
+        && same s.St.minimum sorted.(0)
+        && same s.St.maximum sorted.(n - 1)
+        && same s.St.p50 (at 50.0)
+        && same s.St.p90 (at 90.0)
+        && same s.St.p95 (at 95.0)
+        && same s.St.p99 (at 99.0));
     prop "percentile is a member of the sample"
       QCheck2.Gen.(
         pair
@@ -492,6 +605,7 @@ let () =
       ( "prng",
         [
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
           Alcotest.test_case "copy and split" `Quick test_prng_copy_and_split;
           Alcotest.test_case "bounds" `Quick test_prng_bounds;
           Alcotest.test_case "collections" `Quick test_prng_collections;
