@@ -39,6 +39,14 @@ let or_die = function
       prerr_endline ("qosalloc: " ^ m);
       exit 1
 
+(* A spec a run rejects is an input error: exit 2, like a lint error,
+   never a crash or a hang. *)
+let or_input_error = function
+  | Ok v -> v
+  | Error m ->
+      prerr_endline ("qosalloc: " ^ m);
+      exit 2
+
 (* --- common args ------------------------------------------------------- *)
 
 let casebase_arg =
@@ -459,6 +467,7 @@ let simulate_cmd =
         retrieval_engine;
       }
     in
+    or_input_error (Desim.Simulate.validate spec);
     let obs = make_obs ~metrics ~trace_out ~events_out:None in
     let report = Desim.Simulate.run ?obs spec in
     (match (jobs, batch, par_out) with
@@ -620,6 +629,7 @@ let faults_cmd =
         device_faults;
       }
     in
+    or_input_error (Faults.Campaign.validate spec);
     let obs = make_obs ~metrics ~trace_out ~events_out in
     let report = Faults.Campaign.run ?obs spec in
     emit_obs obs ~metrics ~trace_out ~events_out;
@@ -752,7 +762,10 @@ let faults_cmd =
          occurred but every one was detected and recovered, 2 on \
          unrecovered loss (a lost allocation, a task nothing could \
          re-host, or a retrieval that silently consumed a corrupted \
-         image).";
+         image).  A spec the campaign cannot run (a non-finite \
+         duration, a zero scrub period or SEU mean, a probability \
+         outside [0,1], a NaN or negative fault time) also exits 2, \
+         with a diagnostic on stderr.";
     ]
   in
   let engine =
@@ -826,15 +839,7 @@ let serve_cmd =
       }
     in
     let obs = make_obs ~metrics ~trace_out ~events_out in
-    let report =
-      match Cluster.Serve.run ?obs spec with
-      | Ok r -> r
-      | Error m ->
-          (* A spec the run rejects is an input error: exit 2, like a
-             lint error, never a crash or a hang. *)
-          prerr_endline ("qosalloc: " ^ m);
-          exit 2
-    in
+    let report = or_input_error (Cluster.Serve.run ?obs spec) in
     emit_obs obs ~metrics ~trace_out ~events_out;
     (match out with
     | None -> ()

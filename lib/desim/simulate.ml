@@ -67,7 +67,44 @@ type report = {
   mean_utilization : (string * float) list;
       (** Per device, mean occupied fraction sampled at request
           arrivals; [spec.devices] order. *)
+  event_counts : (string * int) list;
 }
+
+type hooks = {
+  start : Manager.t -> Engine.t -> Workload.Prng.t -> unit;
+  retrieved : Manager.t -> Engine.t -> unit;
+  place :
+    Manager.t ->
+    Engine.t ->
+    Qos_core.Request.t ->
+    Manager.grant ->
+    release_at:float ->
+    unit;
+}
+
+let validate (spec : spec) =
+  if Float.is_finite spec.duration_us && spec.duration_us > 0.0 then Ok ()
+  else
+    Error
+      (Printf.sprintf "simulate: duration_us must be finite and > 0 (got %g)"
+         spec.duration_us)
+
+(* Manager event kinds in report order; [event_index] is the position. *)
+let event_kinds =
+  [ "granted"; "refused"; "preempted"; "released"; "reconfig-failed";
+    "retried"; "relocated"; "device-failed"; "device-restored"; "scrubbed" ]
+
+let event_index = function
+  | Manager.Granted _ -> 0
+  | Manager.Refused _ -> 1
+  | Manager.Preempted_task _ -> 2
+  | Manager.Released_task _ -> 3
+  | Manager.Reconfig_failed _ -> 4
+  | Manager.Retried _ -> 5
+  | Manager.Relocated _ -> 6
+  | Manager.Device_failed _ -> 7
+  | Manager.Device_restored _ -> 8
+  | Manager.Scrubbed _ -> 9
 
 type app_state = {
   profile : Apps.profile;
@@ -76,7 +113,8 @@ type app_state = {
   mutable metrics : app_metrics;
 }
 
-let run ?obs spec =
+let run ?obs ?hooks spec =
+  Result.iter_error invalid_arg (validate spec);
   let manager =
     Manager.create ~casebase:spec.casebase ~devices:spec.devices
       ~catalog:(Catalog.of_casebase_default spec.casebase)
@@ -125,25 +163,23 @@ let run ?obs spec =
       (fun s -> String.equal s.profile.Apps.app_id app_id)
       states
   in
-  let record_preemptions () =
-    List.iter
-      (function
-        | Manager.Preempted_task task -> (
-            match state_of task.Manager.app_id with
-            | Some victim ->
-                victim.metrics <-
-                  {
-                    victim.metrics with
-                    preemptions_suffered =
-                      victim.metrics.preemptions_suffered + 1;
-                  }
-            | None -> ())
-        | Manager.Granted _ | Manager.Refused _ | Manager.Released_task _
-        | Manager.Reconfig_failed _ | Manager.Retried _ | Manager.Relocated _
-        | Manager.Device_failed _ | Manager.Device_restored _
-        | Manager.Scrubbed _ -> ())
-      (Manager.drain_events manager)
+  let event_tally = Array.make (List.length event_kinds) 0 in
+  let count_event event =
+    let k = event_index event in
+    event_tally.(k) <- event_tally.(k) + 1;
+    match event with
+    | Manager.Preempted_task task -> (
+        match state_of task.Manager.app_id with
+        | Some victim ->
+            victim.metrics <-
+              {
+                victim.metrics with
+                preemptions_suffered = victim.metrics.preemptions_suffered + 1;
+              }
+        | None -> ())
+    | _ -> ()
   in
+  let drain_events () = List.iter count_event (Manager.drain_events manager) in
   let utilization_sums = Hashtbl.create 8 in
   let utilization_samples = ref 0 in
   let sample_utilization () =
@@ -217,6 +253,9 @@ let run ?obs spec =
         ~app_id:state.profile.Apps.app_id
         ~priority:state.profile.Apps.priority request
     in
+    (match (hooks, outcome.Negotiation.final) with
+    | None, _ | Some _, Ok { Manager.via_bypass = true; _ } -> ()
+    | Some h, _ -> h.retrieved manager engine);
     record_row ~app_id:state.profile.Apps.app_id engine request outcome;
     sample_utilization ();
     let m = state.metrics in
@@ -239,10 +278,15 @@ let run ?obs spec =
               float_of_int task.Manager.units
               *. power_of_device task.Manager.device_id
               *. hold /. 1000.0;
-            let task_id = task.Manager.task_id in
-            Engine.schedule engine ~delay:hold (fun _ ->
-                ignore (Manager.release manager ~task_id);
-                record_preemptions ())
+            match hooks with
+            | Some h ->
+                h.place manager engine request grant
+                  ~release_at:(Engine.now engine +. hold)
+            | None ->
+                let task_id = task.Manager.task_id in
+                Engine.schedule engine ~delay:hold (fun _ ->
+                    ignore (Manager.release manager ~task_id);
+                    drain_events ())
           end;
           {
             m with
@@ -257,7 +301,7 @@ let run ?obs spec =
       | Error _ -> { m with refusals = m.refusals + 1 }
     in
     state.metrics <- m;
-    record_preemptions ();
+    drain_events ();
     match span with
     | None -> ()
     | Some (ctx, sp) ->
@@ -275,7 +319,9 @@ let run ?obs spec =
       let offset = Workload.Prng.float state.rng *. state.profile.Apps.period_us in
       Engine.schedule engine ~delay:offset (fun engine -> arrival state engine))
     states;
+  Option.iter (fun h -> h.start manager engine root_rng) hooks;
   let events_fired = Engine.run ~until:spec.duration_us engine in
+  drain_events ();
   let per_app =
     List.map (fun s -> (s.profile.Apps.app_id, s.metrics)) states
   in
@@ -315,6 +361,8 @@ let run ?obs spec =
             if !utilization_samples = 0 then 0.0
             else total /. float_of_int !utilization_samples ))
         spec.devices;
+    event_counts =
+      List.mapi (fun k kind -> (kind, event_tally.(k))) event_kinds;
   }
 
 let mean_similarity m =

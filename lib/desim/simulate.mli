@@ -52,15 +52,48 @@ type report = {
   mean_utilization : (string * float) list;
       (** Per device, mean occupied fraction sampled at request
           arrivals; [spec.devices] order. *)
+  event_counts : (string * int) list;
+      (** Manager event tally by kind (granted, refused, ...,
+          scrubbed), in {!Allocator.Manager.event} constructor order. *)
 }
 
-val run : ?obs:Obs.Ctx.t -> spec -> report
+val validate : spec -> (unit, string) result
+(** A ["simulate: ..."] error unless [duration_us] is finite and > 0. *)
+
+(** The seam the fault layer ({!Faults.Campaign}) plugs into the loop.
+
+    - [start manager engine root_rng]: once, after the initial
+      arrivals are scheduled (so its events sort after them among
+      equal times), with the root stream after the per-app splits.
+    - [retrieved manager engine]: after each negotiation that ran a
+      retrieval (a refusal or a non-bypass grant), before placement.
+    - [place manager engine request grant ~release_at]: instead of the
+      default release event of a non-bypass grant, with [release_at]
+      the grant time plus the drawn hold; the hook owns the task.
+
+    Manager events are tallied into [event_counts] after every request
+    and once after the engine stops, so hook-caused events count. *)
+type hooks = {
+  start : Allocator.Manager.t -> Engine.t -> Workload.Prng.t -> unit;
+  retrieved : Allocator.Manager.t -> Engine.t -> unit;
+  place :
+    Allocator.Manager.t ->
+    Engine.t ->
+    Qos_core.Request.t ->
+    Allocator.Manager.grant ->
+    release_at:float ->
+    unit;
+}
+
+val run : ?obs:Obs.Ctx.t -> ?hooks:hooks -> spec -> report
 (** With [obs], the context's clock is re-pointed at the engine's
     sim-time, the manager is created instrumented (see
     {!Allocator.Manager.create}), every request is wrapped in a
     "request" span, and the [qosalloc_sim_queue_depth] gauge samples
     the event-queue depth at each arrival.  Instrumentation never reads
-    the PRNGs, so the report is identical with or without it. *)
+    the PRNGs, so the report is identical with or without it.
+    @raise Invalid_argument with the {!validate} message on an invalid
+    spec. *)
 
 val mean_similarity : app_metrics -> float
 (** 0 when there were no grants. *)

@@ -1,6 +1,5 @@
 open Qos_core
 module Manager = Allocator.Manager
-module Negotiation = Allocator.Negotiation
 module Engine = Desim.Engine
 module Apps = Desim.Apps
 module Simulate = Desim.Simulate
@@ -149,38 +148,58 @@ let scrub_request apps =
           Request.make ~type_id:t.Apps.t_type_id
             (List.map (fun (a, v, _j, w) -> (a, v, w)) t.Apps.t_constraints))
 
-type app_state = {
-  profile : Apps.profile;
-  rng : Workload.Prng.t;
-  templates : Apps.cycle;
+(* One device's outage record while the campaign runs. *)
+type outage = {
+  mutable failures : int;
+  mutable downtime : float;
+  mutable since : float option;  (** Onset of the current outage. *)
 }
 
+(* The backoff rules are [Backoff.delay]'s own contract. *)
+let validate spec =
+  let check ok rule name v =
+    if ok v then None
+    else Some (Printf.sprintf "%s must be %s (got %g)" name rule v)
+  in
+  let finite_and above = check (fun x -> Float.is_finite x && above x) in
+  let positive = finite_and (fun x -> x > 0.0) "finite and > 0" in
+  let non_neg = finite_and (fun x -> x >= 0.0) "finite and >= 0" in
+  let prob = check (fun p -> p >= 0.0 && p <= 1.0) "in [0, 1]" in
+  let opt rule name = Option.fold ~none:None ~some:(rule name) in
+  let r = spec.retry in
+  [
+    positive "duration_us" spec.base.Simulate.duration_us;
+    opt positive "seu_mean_interval_us" spec.seu_mean_interval_us;
+    opt positive "scrub_period_us" spec.scrub_period_us;
+    prob "reconfig_fail_prob" spec.reconfig_fail_prob;
+    prob "flash_error_prob" spec.flash_error_prob;
+    opt non_neg "load_deadline_us" spec.load_deadline_us;
+    non_neg "max_retries" (float_of_int r.max_retries);
+    positive "backoff_base_us" r.backoff_base_us;
+    finite_and (fun f -> f >= 1.0) "finite and >= 1" "backoff_factor"
+      r.backoff_factor;
+    non_neg "backoff_cap_us" r.backoff_cap_us;
+    check (fun j -> j >= 0.0 && j < 1.0) "in [0, 1)" "backoff_jitter"
+      r.backoff_jitter;
+  ]
+  @ List.concat_map
+      (fun df ->
+        [
+          non_neg "device fault time" df.df_at_us;
+          (match df.df_kind with
+          | `Transient d -> non_neg "device fault duration" d
+          | `Permanent -> None);
+        ])
+      spec.device_faults
+  |> List.find_map Fun.id
+  |> Option.fold ~none:(Ok ()) ~some:(fun msg -> Error ("faults: " ^ msg))
+
 let run ?obs spec =
+  Result.iter_error invalid_arg (validate spec);
   let base = spec.base in
-  let manager =
-    Manager.create ~casebase:base.Simulate.casebase
-      ~devices:base.Simulate.devices
-      ~catalog:(Allocator.Catalog.of_casebase_default base.Simulate.casebase)
-      ~policy:base.Simulate.policy ?placement_policy:base.Simulate.placement
-      ?obs ?retrieval_engine:base.Simulate.retrieval_engine ()
-  in
-  let root_rng = Workload.Prng.create ~seed:base.Simulate.seed in
-  (* App streams split first, in apps order — identical to
-     [Simulate.run] for the same seed, so a fault-free campaign sees
-     the Desim workload verbatim. *)
-  let states =
-    List.map
-      (fun profile ->
-        {
-          profile;
-          rng = Workload.Prng.split root_rng;
-          templates = Apps.cycle profile;
-        })
-      base.Simulate.apps
-  in
-  let injector =
-    Injector.create ~seed:(Workload.Prng.int root_rng ~bound:0x3FFFFFFF)
-  in
+  (* Seeded in [start] from the root stream right after the app
+     splits, so fault draws never shift the workload. *)
+  let injector = ref (Injector.create ~seed:0) in
   let scrubber =
     match scrub_request base.Simulate.apps with
     | Error _ -> None
@@ -189,29 +208,13 @@ let run ?obs spec =
         | Ok s -> Some s
         | Error _ -> None)
   in
-  let engine = Engine.create () in
-  (* Scrub/retry/relocation counters ride the manager's event stream
-     (see [Manager.create ?obs]); the campaign only adds the repair-
-     time view. *)
-  let mttr_hist =
-    match obs with
-    | None -> None
-    | Some ctx ->
-        Obs.Ctx.set_clock ctx (fun () -> Engine.now engine);
-        Some
-          (Obs.Metrics.histogram ctx.Obs.Ctx.registry
-             ~help:"Mean time to repair per failed device, us."
-             ~buckets:Obs.Metrics.default_buckets "qosalloc_device_mttr_us")
-  in
   let duration = base.Simulate.duration_us in
-  let flight_log =
-    match obs with Some o -> o.Obs.Ctx.events | None -> Obs.Events.noop ()
+  let record_event engine kind =
+    Option.iter
+      (fun o -> Obs.Events.record o.Obs.Ctx.events ~ts:(Engine.now engine) kind)
+      obs
   in
-  let observing = Obs.Events.enabled flight_log in
-  let scrub_enabled = spec.scrub_period_us <> None in
   (* Counters. *)
-  let requests = ref 0 and grants = ref 0 in
-  let bypass_grants = ref 0 and refusals = ref 0 in
   let seu_injected = ref 0 and scrub_runs = ref 0 in
   let scrub_repairs = ref 0 and scrub_diagnostics = ref 0 in
   let detected_retrievals = ref 0 and undetected_retrievals = ref 0 in
@@ -224,48 +227,59 @@ let run ?obs spec =
   (* Tasks the campaign still owes a release: task_id -> (request it
      was granted for, absolute release time). *)
   let live_tasks : (int, Request.t * float) Hashtbl.t = Hashtbl.create 64 in
-  let avail_failures : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let avail_downtime : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let down_since : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bump tbl key by =
-    Hashtbl.replace tbl key (Option.value ~default:0 (Hashtbl.find_opt tbl key) + by)
+  (* Per device, in [base.devices] order. *)
+  let outages =
+    List.map
+      (fun (d : Allocator.Device.t) ->
+        let o = { failures = 0; downtime = 0.0; since = None } in
+        (d.Allocator.Device.device_id, o))
+      base.Simulate.devices
   in
-  let bump_f tbl key by =
-    Hashtbl.replace tbl key
-      (Option.value ~default:0.0 (Hashtbl.find_opt tbl key) +. by)
+  let end_outage o ~at =
+    Option.iter (fun t0 -> o.downtime <- o.downtime +. (at -. t0)) o.since;
+    o.since <- None
   in
-  let schedule_release engine task_id ~at =
+  let schedule_release manager engine task_id ~at =
     let fire _ =
       Hashtbl.remove live_tasks task_id;
       (* The task may already be gone (evicted, or its load was
          abandoned); a failed release is not an error here. *)
       ignore (Manager.release manager ~task_id)
     in
+    (* [at - now], not the hold time: the two can differ by an ulp. *)
     let delay = Float.max 0.0 (at -. Engine.now engine) in
     Engine.schedule engine ~delay fire
   in
-  let still_resident task_id =
-    List.exists
-      (fun (task : Manager.task) -> task.Manager.task_id = task_id)
-      (Manager.tasks manager)
+  (* Full diagnosis and golden reload, for the periodic tick and the
+     retrieval-time readback alike. *)
+  let scrub manager engine s =
+    let diags = Scrubber.diagnose s in
+    scrub_diagnostics := !scrub_diagnostics + diags;
+    let words = Scrubber.repair s in
+    incr scrub_repairs;
+    Manager.record_scrub manager ~corrupted_words:words ~diagnostics:diags;
+    record_event engine
+      (Obs.Events.Scrub { corrupted_words = words; diagnostics = diags })
   in
   (* Bounded retry with exponential backoff for a granted placement's
      bitstream load.  [attempt] is 0-based; the deadline model only
      judges the first attempt (retries are assumed to hit a warm,
      uncontended flash path). *)
-  let rec attempt_load engine (task : Manager.task) (grant : Manager.grant)
-      ~release_at ~attempt ~backoff_acc =
-    if still_resident task.Manager.task_id then begin
+  let rec attempt_load manager engine (grant : Manager.grant) ~release_at
+      ~attempt ~backoff_acc =
+    let task = grant.Manager.task in
+    let resident (t : Manager.task) = t.Manager.task_id = task.task_id in
+    if List.exists resident (Manager.tasks manager) then begin
       let cause =
-        if Injector.draw injector ~prob:spec.flash_error_prob then
-          Some Manager.Flash_read_error
-        else if Injector.draw injector ~prob:spec.reconfig_fail_prob then
-          Some Manager.Bitstream_load_error
+        if Injector.draw !injector ~prob:spec.flash_error_prob then
+          Some (Manager.Flash_read_error, flash_errors)
+        else if Injector.draw !injector ~prob:spec.reconfig_fail_prob then
+          Some (Manager.Bitstream_load_error, bitstream_errors)
         else
           match spec.load_deadline_us with
           | Some deadline
             when attempt = 0 && grant.Manager.setup_time_us > deadline ->
-              Some Manager.Load_deadline_exceeded
+              Some (Manager.Load_deadline_exceeded, deadline_misses)
           | Some _ | None -> None
       in
       match cause with
@@ -274,13 +288,10 @@ let run ?obs spec =
             incr recovered_loads;
             recovery_us_sum := !recovery_us_sum +. backoff_acc
           end;
-          schedule_release engine task.Manager.task_id ~at:release_at
-      | Some cause ->
+          schedule_release manager engine task.Manager.task_id ~at:release_at
+      | Some (cause, by_cause) ->
           incr failed_loads;
-          (match cause with
-          | Manager.Flash_read_error -> incr flash_errors
-          | Manager.Bitstream_load_error -> incr bitstream_errors
-          | Manager.Load_deadline_exceeded -> incr deadline_misses);
+          incr by_cause;
           Manager.record_reconfig_failure manager ~task ~cause
             ~attempt:(attempt + 1);
           if attempt < spec.retry.max_retries then begin
@@ -290,7 +301,7 @@ let run ?obs spec =
             let backoff =
               let u =
                 if spec.retry.backoff_jitter > 0.0 then
-                  Injector.uniform injector
+                  Injector.uniform !injector
                 else 0.5
               in
               Backoff.delay (backoff_policy spec.retry) ~attempt ~u
@@ -299,7 +310,7 @@ let run ?obs spec =
             Manager.record_retry manager ~task ~attempt:(attempt + 1)
               ~backoff_us:backoff;
             Engine.schedule engine ~delay:backoff (fun engine ->
-                attempt_load engine task grant ~release_at
+                attempt_load manager engine grant ~release_at
                   ~attempt:(attempt + 1)
                   ~backoff_acc:(backoff_acc +. backoff))
           end
@@ -310,234 +321,144 @@ let run ?obs spec =
           end
     end
   in
-  let handle_request state engine =
-    let request = Apps.next state.rng state.templates in
-    let outcome =
-      Negotiation.negotiate ~max_rounds:base.Simulate.max_negotiation_rounds
-        manager
-        ~app_id:state.profile.Apps.app_id
-        ~priority:state.profile.Apps.priority request
-    in
-    incr requests;
-    let did_retrieve =
-      match outcome.Negotiation.final with
-      | Ok grant -> not grant.Manager.via_bypass
-      | Error _ -> true
-    in
-    (* Retrieval-time readback: with scrubbing on, a corrupted image is
-       detected and reloaded before the result is used; with scrubbing
-       off the retrieval silently consumes the corrupted words. *)
-    (match scrubber with
-    | Some s when did_retrieve && not (Scrubber.clean s) ->
-        if scrub_enabled then begin
+  (* Retrieval-time readback: with scrubbing on, a corrupted image is
+     detected and reloaded before the result is used; with scrubbing
+     off the retrieval silently consumes the corrupted words. *)
+  let retrieved manager engine =
+    match scrubber with
+    | Some s when not (Scrubber.clean s) ->
+        if Option.is_some spec.scrub_period_us then begin
           incr detected_retrievals;
-          let diags = Scrubber.diagnose s in
-          scrub_diagnostics := !scrub_diagnostics + diags;
-          let words = Scrubber.repair s in
-          incr scrub_repairs;
-          Manager.record_scrub manager ~corrupted_words:words
-            ~diagnostics:diags;
-          if observing then
-            Obs.Events.record flight_log ~ts:(Engine.now engine)
-              (Obs.Events.Scrub { corrupted_words = words; diagnostics = diags })
+          scrub manager engine s
         end
         else incr undetected_retrievals
-    | Some _ | None -> ());
-    match outcome.Negotiation.final with
-    | Error _ -> incr refusals
-    | Ok grant ->
-        incr grants;
-        if grant.Manager.via_bypass then incr bypass_grants
-        else begin
-          let task = grant.Manager.task in
-          let hold = Apps.hold_time state.profile state.rng in
-          let release_at = Engine.now engine +. hold in
-          Hashtbl.replace live_tasks task.Manager.task_id
-            (request, release_at);
-          attempt_load engine task grant ~release_at ~attempt:0
-            ~backoff_acc:0.0
-        end
+    | Some _ | None -> ()
   in
-  let rec arrival state engine =
-    handle_request state engine;
-    let delay = Apps.inter_arrival state.profile state.rng in
-    if Engine.now engine +. delay <= duration then
-      Engine.schedule engine ~delay (fun engine -> arrival state engine)
+  let place manager engine request (grant : Manager.grant) ~release_at =
+    Hashtbl.replace live_tasks grant.Manager.task.Manager.task_id
+      (request, release_at);
+    attempt_load manager engine grant ~release_at ~attempt:0 ~backoff_acc:0.0
   in
-  List.iter
-    (fun state ->
-      let offset =
-        Workload.Prng.float state.rng *. state.profile.Apps.period_us
-      in
-      Engine.schedule engine ~delay:offset (fun engine ->
-          arrival state engine))
-    states;
-  (* Device-failure schedule: eviction, then relocation with graceful
+  (* Device failure: eviction, then relocation with graceful
      degradation — each evicted task re-enters CBR retrieval and takes
      the next-best variant on a healthy device.  The relocation load
      itself is not fault-injected. *)
-  List.iter
-    (fun df ->
-      if df.df_at_us <= duration then
-        Engine.schedule_at engine ~time:df.df_at_us (fun engine ->
-            match
-              Manager.fail_device manager ~device_id:df.df_device_id
-                ~permanent:
-                  (match df.df_kind with
-                  | `Permanent -> true
-                  | `Transient _ -> false)
-            with
-            | Error _ -> ()
-            | Ok evicted ->
-                bump avail_failures df.df_device_id 1;
-                if not (Hashtbl.mem down_since df.df_device_id) then
-                  Hashtbl.replace down_since df.df_device_id
-                    (Engine.now engine);
-                List.iter
-                  (fun (victim : Manager.task) ->
-                    match
-                      Hashtbl.find_opt live_tasks victim.Manager.task_id
-                    with
-                    | None -> ()
-                    | Some (request, release_at) -> (
-                        Hashtbl.remove live_tasks victim.Manager.task_id;
-                        match Manager.relocate manager ~task:victim request with
-                        | Ok (regrant, delta) ->
-                            incr relocations;
-                            rev_deltas := delta :: !rev_deltas;
-                            if observing then
-                              Obs.Events.record flight_log
-                                ~ts:(Engine.now engine)
-                                (Obs.Events.Relocation
-                                   {
-                                     device = df.df_device_id;
-                                     qos_delta = delta;
-                                   });
-                            let new_id =
-                              regrant.Manager.task.Manager.task_id
-                            in
-                            Hashtbl.replace live_tasks new_id
-                              (request, release_at);
-                            schedule_release engine new_id ~at:release_at
-                        | Error _ -> incr lost_tasks))
-                  evicted;
-                (match df.df_kind with
-                | `Permanent -> ()
-                | `Transient dur ->
-                    Engine.schedule engine ~delay:dur (fun engine ->
-                        if
-                          Manager.restore_device manager
-                            ~device_id:df.df_device_id
-                        then begin
-                          (match
-                             Hashtbl.find_opt down_since df.df_device_id
-                           with
-                          | Some since ->
-                              bump_f avail_downtime df.df_device_id
-                                (Engine.now engine -. since)
-                          | None -> ());
-                          Hashtbl.remove down_since df.df_device_id
-                        end))))
-    spec.device_faults;
-  (* Periodic scrubbing: cheap checksum first, full diagnosis and
-     golden reload on any mismatch. *)
-  (match (spec.scrub_period_us, scrubber) with
-  | Some period, Some s ->
-      let rec scrub_tick engine =
-        incr scrub_runs;
-        if not (Scrubber.checksum_matches s && Scrubber.clean s) then begin
-          let diags = Scrubber.diagnose s in
-          scrub_diagnostics := !scrub_diagnostics + diags;
-          let words = Scrubber.repair s in
-          incr scrub_repairs;
-          Manager.record_scrub manager ~corrupted_words:words
-            ~diagnostics:diags;
-          if observing then
-            Obs.Events.record flight_log ~ts:(Engine.now engine)
-              (Obs.Events.Scrub { corrupted_words = words; diagnostics = diags })
-        end;
-        if Engine.now engine +. period <= duration then
-          Engine.schedule engine ~delay:period scrub_tick
-      in
-      if period <= duration then
-        Engine.schedule_at engine ~time:period scrub_tick
-  | (Some _ | None), _ -> ());
-  (* SEU arrivals: Poisson bit flips into the live image. *)
-  (match (spec.seu_mean_interval_us, scrubber) with
-  | Some mean, Some s ->
-      let rec seu_tick engine =
-        ignore (Injector.flip_word injector (Scrubber.live s));
-        incr seu_injected;
-        let delay = Injector.interval injector ~mean_us:mean in
-        if Engine.now engine +. delay <= duration then
-          Engine.schedule engine ~delay seu_tick
-      in
-      let first = Injector.interval injector ~mean_us:mean in
-      if first <= duration then Engine.schedule_at engine ~time:first seu_tick
-  | (Some _ | None), _ -> ());
-  let events_fired = Engine.run ~until:duration engine in
-  (* Devices still down at the end of the campaign. *)
-  Hashtbl.iter
-    (fun device_id since -> bump_f avail_downtime device_id (duration -. since))
-    down_since;
+  let fail_device manager engine df =
+    match
+      Manager.fail_device manager ~device_id:df.df_device_id
+        ~permanent:(df.df_kind = `Permanent)
+    with
+    | Error _ -> ()
+    | Ok evicted ->
+        let o = List.assoc df.df_device_id outages in
+        o.failures <- o.failures + 1;
+        if o.since = None then o.since <- Some (Engine.now engine);
+        List.iter
+          (fun (victim : Manager.task) ->
+            match Hashtbl.find_opt live_tasks victim.Manager.task_id with
+            | None -> ()
+            | Some (request, release_at) -> (
+                Hashtbl.remove live_tasks victim.Manager.task_id;
+                match Manager.relocate manager ~task:victim request with
+                | Ok (regrant, delta) ->
+                    incr relocations;
+                    rev_deltas := delta :: !rev_deltas;
+                    record_event engine
+                      (Obs.Events.Relocation
+                         { device = df.df_device_id; qos_delta = delta });
+                    let new_id = regrant.Manager.task.Manager.task_id in
+                    Hashtbl.replace live_tasks new_id (request, release_at);
+                    schedule_release manager engine new_id ~at:release_at
+                | Error _ -> incr lost_tasks))
+          evicted;
+        (match df.df_kind with
+        | `Permanent -> ()
+        | `Transient dur ->
+            Engine.schedule engine ~delay:dur (fun engine ->
+                if Manager.restore_device manager ~device_id:df.df_device_id
+                then end_outage o ~at:(Engine.now engine)))
+  in
+  (* Fault, scrub and SEU events are scheduled after the initial
+     arrivals, which therefore win equal-time ties. *)
+  let start manager engine root_rng =
+    injector :=
+      Injector.create ~seed:(Workload.Prng.int root_rng ~bound:0x3FFFFFFF);
+    List.iter
+      (fun df ->
+        if df.df_at_us <= duration then
+          Engine.schedule_at engine ~time:df.df_at_us (fun engine ->
+              fail_device manager engine df))
+      spec.device_faults;
+    (* Periodic scrubbing: cheap checksum first, full diagnosis and
+       golden reload on any mismatch. *)
+    (match (spec.scrub_period_us, scrubber) with
+    | Some period, Some s ->
+        let rec scrub_tick engine =
+          incr scrub_runs;
+          if not (Scrubber.checksum_matches s && Scrubber.clean s) then
+            scrub manager engine s;
+          if Engine.now engine +. period <= duration then
+            Engine.schedule engine ~delay:period scrub_tick
+        in
+        if period <= duration then
+          Engine.schedule_at engine ~time:period scrub_tick
+    | (Some _ | None), _ -> ());
+    (* SEU arrivals: Poisson bit flips into the live image. *)
+    match (spec.seu_mean_interval_us, scrubber) with
+    | Some mean, Some s ->
+        let rec seu_tick engine =
+          ignore (Injector.flip_word !injector (Scrubber.live s));
+          incr seu_injected;
+          let delay = Injector.interval !injector ~mean_us:mean in
+          if Engine.now engine +. delay <= duration then
+            Engine.schedule engine ~delay seu_tick
+        in
+        let first = Injector.interval !injector ~mean_us:mean in
+        if first <= duration then Engine.schedule_at engine ~time:first seu_tick
+    | (Some _ | None), _ -> ()
+  in
+  let sim =
+    Simulate.run ?obs ~hooks:{ Simulate.start; retrieved; place } base
+  in
   let availability =
     List.map
-      (fun (d : Allocator.Device.t) ->
-        let failures =
-          Option.value ~default:0
-            (Hashtbl.find_opt avail_failures d.Allocator.Device.device_id)
-        in
-        let downtime =
-          Option.value ~default:0.0
-            (Hashtbl.find_opt avail_downtime d.Allocator.Device.device_id)
-        in
+      (fun (device_id, o) ->
+        (* Close the outages still open when the campaign ends. *)
+        end_outage o ~at:duration;
         {
-          av_device_id = d.Allocator.Device.device_id;
-          av_failures = failures;
-          av_downtime_us = downtime;
-          av_availability = 1.0 -. (downtime /. duration);
+          av_device_id = device_id;
+          av_failures = o.failures;
+          av_downtime_us = o.downtime;
+          av_availability = 1.0 -. (o.downtime /. duration);
           av_mttr_us =
-            (if failures = 0 then 0.0
-             else downtime /. float_of_int failures);
+            (if o.failures = 0 then 0.0
+             else o.downtime /. float_of_int o.failures);
         })
-      base.Simulate.devices
+      outages
   in
-  (match mttr_hist with
-  | None -> ()
-  | Some h ->
+  (* Scrub/retry/relocation counters ride the manager's event stream
+     (see [Manager.create ?obs]); the campaign only adds the repair-
+     time view. *)
+  Option.iter
+    (fun ctx ->
+      let h =
+        Obs.Metrics.histogram ctx.Obs.Ctx.registry
+          ~help:"Mean time to repair per failed device, us."
+          ~buckets:Obs.Metrics.default_buckets "qosalloc_device_mttr_us"
+      in
       List.iter
-        (fun a ->
-          if a.av_failures > 0 then Obs.Metrics.observe h a.av_mttr_us)
-        availability);
-  let events = Manager.drain_events manager in
-  let count pred = List.length (List.filter pred events) in
-  let event_counts =
-    [
-      ("granted", count (function Manager.Granted _ -> true | _ -> false));
-      ("refused", count (function Manager.Refused _ -> true | _ -> false));
-      ( "preempted",
-        count (function Manager.Preempted_task _ -> true | _ -> false) );
-      ( "released",
-        count (function Manager.Released_task _ -> true | _ -> false) );
-      ( "reconfig-failed",
-        count (function Manager.Reconfig_failed _ -> true | _ -> false) );
-      ("retried", count (function Manager.Retried _ -> true | _ -> false));
-      ("relocated", count (function Manager.Relocated _ -> true | _ -> false));
-      ( "device-failed",
-        count (function Manager.Device_failed _ -> true | _ -> false) );
-      ( "device-restored",
-        count (function Manager.Device_restored _ -> true | _ -> false) );
-      ("scrubbed", count (function Manager.Scrubbed _ -> true | _ -> false));
-    ]
-  in
+        (fun a -> if a.av_failures > 0 then Obs.Metrics.observe h a.av_mttr_us)
+        availability)
+    obs;
+  let totals = sim.Simulate.totals in
   {
     seed = base.Simulate.seed;
     duration_us = duration;
-    requests = !requests;
-    grants = !grants;
-    bypass_grants = !bypass_grants;
-    refusals = !refusals;
-    events_fired;
+    requests = totals.Simulate.requests;
+    grants = totals.Simulate.grants;
+    bypass_grants = totals.Simulate.bypass_grants;
+    refusals = totals.Simulate.refusals;
+    events_fired = sim.Simulate.events_fired;
     corruption =
       {
         seu_injected = !seu_injected;
@@ -567,7 +488,7 @@ let run ?obs spec =
         similarity_deltas = List.rev !rev_deltas;
       };
     availability;
-    event_counts;
+    event_counts = sim.Simulate.event_counts;
   }
 
 let pp ppf r =

@@ -1,13 +1,13 @@
-(** Deterministic fault-injection campaigns over the full-system
-    simulation: the Desim workload plus SEUs, load failures, device
-    failures and flash read errors, with the recovery machinery
-    (scrubbing, bounded retry, relocation) engaged end to end.
+(** Deterministic fault-injection campaigns.  A campaign {e is} a
+    {!Desim.Simulate} run with fault {!Desim.Simulate.hooks}: SEUs,
+    scrubbing, load failures with bounded retry, and device failures
+    with relocation, measured as the recovery machinery absorbs them.
 
-    A campaign is a pure function of its {!spec}: the workload streams
-    are split from the seed exactly as {!Desim.Simulate.run} splits
-    them, and every fault decision flows through one {!Injector}
-    stream derived from the same seed — so the same seed and spec
-    yield a byte-identical {!to_json} report. *)
+    Every fault decision flows through one {!Injector} stream seeded
+    from the root stream after the workload splits, so the same seed
+    and spec yield a byte-identical {!to_json} report, and a
+    fault-free campaign counts exactly the plain simulation's
+    requests, grants and events. *)
 
 type device_fault = {
   df_device_id : string;
@@ -132,13 +132,19 @@ val exit_code : report -> int
 (** 0 / 1 / 2 for clean / degraded-but-recovered / unrecovered loss —
     the [qosalloc faults] CI contract. *)
 
+val validate : spec -> (unit, string) result
+(** A ["faults: ..."] error names the first malformed field: periods
+    and means must be finite and positive, probabilities in [0, 1],
+    times, durations and retry fields finite and non-negative (the
+    backoff base positive, its factor >= 1, its jitter in [0, 1)). *)
+
 val run : ?obs:Obs.Ctx.t -> spec -> report
-(** With [obs], the manager is created instrumented (scrub, retry and
-    relocation counters are fed from its event stream), the context's
-    clock follows the campaign engine, and per-device repair times land
-    in the [qosalloc_device_mttr_us] histogram.  Instrumentation never
-    touches the injector or workload PRNGs, so the report — including
-    its JSON rendering — is identical with or without it. *)
+(** With [obs], the run is instrumented as {!Desim.Simulate.run} is,
+    and per-device repair times land in the [qosalloc_device_mttr_us]
+    histogram.  Instrumentation never touches the injector or workload
+    PRNGs, so the report — including its JSON rendering — is identical
+    with or without it.
+    @raise Invalid_argument with the {!validate} message. *)
 
 val pp : Format.formatter -> report -> unit
 

@@ -9,12 +9,14 @@ let binary = "../bin/qosalloc.exe"
 
 let tmp_dir = Filename.concat (Filename.get_temp_dir_name ()) "qosalloc-cli-test"
 
-let run_cli args =
-  (* Capture combined output; return (exit code, output). *)
+let run_cli ?timeout_s args =
+  (* Capture combined output; return (exit code, output).  With
+     [timeout_s] a run that does not end is killed and exits 124. *)
   let out_file = Filename.temp_file "qosalloc" ".out" in
   let command =
-    Printf.sprintf "%s %s > %s 2>&1" (Filename.quote binary) args
-      (Filename.quote out_file)
+    Printf.sprintf "%s%s %s > %s 2>&1"
+      (Option.fold ~none:"" ~some:(Printf.sprintf "timeout %d ") timeout_s)
+      (Filename.quote binary) args (Filename.quote out_file)
   in
   let code = Sys.command command in
   let output = In_channel.with_open_text out_file In_channel.input_all in
@@ -384,23 +386,48 @@ let test_parallel_flags () =
   let code, _ = run_cli "simulate --duration-us 2000 --jobs 0" in
   check_int "jobs 0 rejected" 1 code
 
-(* A serve spec the run rejects is an input error: a one-line
-   diagnostic and exit 2, never an uncaught exception (exit 125) or a
-   run that never ends. *)
+(* A spec the run rejects is an input error: a one-line diagnostic
+   and exit 2, never an uncaught exception (exit 125) or a run that
+   never ends (killed by the timeout, exit 124). *)
+let check_rejected command args =
+  let line = command ^ " " ^ args in
+  let code, out = run_cli ~timeout_s:20 line in
+  check_int (line ^ ": exit 2") 2 code;
+  check_bool (line ^ ": diagnostic") true
+    (contains out ("qosalloc: " ^ command ^ ":"));
+  check_bool (line ^ ": no uncaught exception") false
+    (contains out "uncaught exception")
+
 let test_serve_malformed_input () =
-  List.iter
-    (fun args ->
-      let code, out = run_cli ("serve " ^ args) in
-      check_int (args ^ ": exit 2") 2 code;
-      check_bool (args ^ ": diagnostic") true (contains out "qosalloc: serve:");
-      check_bool (args ^ ": no uncaught exception") false
-        (contains out "uncaught exception"))
+  List.iter (check_rejected "serve")
     [
       "--load-scale 0 --stream --requests 100";
       "--load-scale nan --stream --requests 100";
       "--duration-us inf --stream --requests 100";
       "--duration-us nan";
     ]
+
+(* The same contract for the single-system commands.  Without it, an
+   infinite horizon or a zero scrub period never finishes, a zero SEU
+   mean or a negative outage crashes (exit 125), and a NaN or negative
+   duration, a NaN fault time or a probability above 1 runs anyway. *)
+let test_faults_simulate_malformed_input () =
+  List.iter (check_rejected "faults")
+    [
+      "--scrub-period-us 0";
+      "--duration-us inf";
+      "--duration-us nan";
+      "--duration-us=-100";
+      "--seu-mean-us 0";
+      "--seu-mean-us=-5";
+      "--backoff-jitter 2";
+      "--fail dsp0@100+-50";
+      "--fail dsp0@nan";
+      "--backoff-us nan --reconfig-fail-prob 0.5";
+      "--reconfig-fail-prob 1.5";
+    ];
+  List.iter (check_rejected "simulate")
+    [ "--duration-us inf"; "--duration-us nan"; "--duration-us=-100" ]
 
 let test_faults_observability () =
   let prom = Filename.concat tmp_dir "faults.prom" in
@@ -414,7 +441,25 @@ let test_faults_observability () =
   check_bool "MTTR histogram exported" true
     (contains text "# TYPE qosalloc_device_mttr_us histogram");
   check_bool "relocation counter exported" true
-    (contains text "qosalloc_alloc_events_total{event=\"relocated\"}")
+    (contains text "qosalloc_alloc_events_total{event=\"relocated\"}");
+  (* A campaign is a Simulate run, so it exports Simulate's series too. *)
+  check_bool "simulate queue gauge exported" true
+    (contains text "# TYPE qosalloc_sim_queue_depth gauge");
+  (* The flight log of the golden campaign, recorded before campaigns
+     ran on Simulate's loop, is pinned byte for byte. *)
+  let events = Filename.concat tmp_dir "faults_events.ndjson" in
+  let code, _ =
+    run_cli
+      (Printf.sprintf
+         "faults --duration-us 60000 --seed 7 --seu-mean-us 2000 \
+          --scrub-period-us 5000 --reconfig-fail-prob 0.1 \
+          --fail dsp0@20000+15000 --events-out %s"
+         events)
+  in
+  check_int "golden campaign exit" 1 code;
+  Alcotest.(check string)
+    "flight log digest" "2d2437faa1683dc76a03c19a67b323cc"
+    (Digest.to_hex (Digest.file events))
 
 let test_bad_input_fails_cleanly () =
   let bad = Filename.concat tmp_dir "bad.cb" in
@@ -446,6 +491,8 @@ let () =
             test_faults_unrecovered_exit2;
           Alcotest.test_case "serve malformed input exit 2" `Quick
             test_serve_malformed_input;
+          Alcotest.test_case "faults/simulate malformed input exit 2" `Quick
+            test_faults_simulate_malformed_input;
           Alcotest.test_case "faults stable json" `Quick
             test_faults_json_deterministic;
           Alcotest.test_case "faults unknown device" `Quick

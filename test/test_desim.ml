@@ -280,6 +280,78 @@ let test_simulation_short_horizon () =
   let report = S.run spec in
   check_bool "short run, little work" true (report.S.totals.S.requests < 10)
 
+(* An infinite horizon would never end and a NaN or negative one would
+   run nothing yet report success: both are rejected up front. *)
+let test_simulation_rejects_bad_duration () =
+  List.iter
+    (fun duration_us ->
+      let spec = { (S.default_spec ()) with S.duration_us } in
+      match S.validate spec with
+      | Ok () -> Alcotest.failf "duration %g accepted" duration_us
+      | Error msg ->
+          check_bool "names the command" true
+            (String.starts_with ~prefix:"simulate: duration_us" msg);
+          Alcotest.check_raises "run raises" (Invalid_argument msg) (fun () ->
+              ignore (S.run spec)))
+    [ infinity; Float.nan; -100.0; 0.0 ];
+  check_bool "a finite horizon passes" true
+    (S.validate (S.default_spec ()) = Ok ())
+
+(* The fault-layer seam: [start] sees the initial arrivals queued and
+   the root stream past the per-app splits, [retrieved] fires once per
+   refusal or non-bypass grant, and [place] takes over every
+   non-bypass grant in place of the default release. *)
+let check_hooks_contract spec =
+  let queued_at_start = ref (-1) and root_draw = ref (-1) in
+  let retrievals = ref 0 and placements = ref 0 in
+  let hooks =
+    {
+      S.start =
+        (fun _ engine root ->
+          queued_at_start := E.pending engine;
+          root_draw := Workload.Prng.int root ~bound:1_000_000);
+      retrieved = (fun _ _ -> incr retrievals);
+      place =
+        (fun manager engine _ grant ~release_at ->
+          incr placements;
+          check_bool "release after grant" true (release_at >= E.now engine);
+          let task = grant.Allocator.Manager.task in
+          let task_id = task.Allocator.Manager.task_id in
+          E.schedule_at engine ~time:release_at (fun _ ->
+              ignore (Allocator.Manager.release manager ~task_id)));
+    }
+  in
+  let r = S.run ~hooks spec in
+  let t = r.S.totals in
+  check_int "initial arrivals queued" (List.length spec.S.apps)
+    !queued_at_start;
+  let expected_root = Workload.Prng.create ~seed:spec.S.seed in
+  List.iter (fun _ -> ignore (Workload.Prng.split expected_root)) spec.S.apps;
+  check_int "root stream past the app splits"
+    (Workload.Prng.int expected_root ~bound:1_000_000)
+    !root_draw;
+  let placed = t.S.grants - t.S.bypass_grants in
+  check_int "one readback per retrieval" (t.S.refusals + placed) !retrievals;
+  check_int "one placement per non-bypass grant" placed !placements;
+  check_int "tally counts every grant" t.S.grants
+    (List.assoc "granted" r.S.event_counts);
+  t
+
+let test_simulation_hooks_contract () =
+  let spec = { (S.default_spec ()) with S.duration_us = 50_000.0 } in
+  ignore (check_hooks_contract spec);
+  (* One small GPP refuses requests, so readbacks after refusals count. *)
+  let gpp =
+    match
+      Allocator.Device.make ~device_id:"gpp0" ~target:Qos_core.Target.Gpp
+        ~capacity:2 ()
+    with
+    | Ok d -> d
+    | Error e -> Alcotest.fail e
+  in
+  let tight = check_hooks_contract { spec with S.devices = [ gpp ] } in
+  check_bool "the tight platform refuses" true (tight.S.refusals > 0)
+
 let test_simulation_tight_system () =
   (* A platform with almost no resources refuses or degrades. *)
   let dev id target capacity =
@@ -514,6 +586,10 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_simulation_deterministic;
           Alcotest.test_case "consistency" `Quick test_simulation_consistency;
           Alcotest.test_case "short horizon" `Quick test_simulation_short_horizon;
+          Alcotest.test_case "rejects bad duration" `Quick
+            test_simulation_rejects_bad_duration;
+          Alcotest.test_case "hooks contract" `Quick
+            test_simulation_hooks_contract;
           Alcotest.test_case "tight system" `Quick test_simulation_tight_system;
           Alcotest.test_case "metric helpers" `Quick test_metrics_helpers;
           Alcotest.test_case "energy accounting" `Quick test_energy_accounting;

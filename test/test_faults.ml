@@ -239,6 +239,187 @@ let test_campaign_transient_device_failure () =
   check_bool "restored event recorded" true
     (List.assoc "device-restored" r.C.event_counts = 1)
 
+(* A fault-free campaign runs Simulate's allocation loop with idle fault
+   hooks, so it must see the plain simulation's workload verbatim. *)
+let test_campaign_lockstep_with_simulate () =
+  List.iter
+    (fun (seed, placement) ->
+      let base =
+        { (Desim.Simulate.default_spec ()) with Desim.Simulate.seed; placement }
+      in
+      let sim = Desim.Simulate.run base in
+      let r = C.run { (C.default_spec ()) with C.base } in
+      let t = sim.Desim.Simulate.totals in
+      let what field =
+        Printf.sprintf "seed %d, placement %s: %s" seed
+          (Option.fold ~none:"off"
+             ~some:Allocator.Placement.policy_to_string placement)
+          field
+      in
+      check_int (what "requests") t.Desim.Simulate.requests r.C.requests;
+      check_int (what "grants") t.Desim.Simulate.grants r.C.grants;
+      check_int (what "bypass grants") t.Desim.Simulate.bypass_grants
+        r.C.bypass_grants;
+      check_int (what "refusals") t.Desim.Simulate.refusals r.C.refusals;
+      check_int (what "events fired") sim.Desim.Simulate.events_fired
+        r.C.events_fired)
+    (List.concat_map
+       (fun seed ->
+         [ (seed, None); (seed, Some Allocator.Placement.First_fit) ])
+       [ 1; 42; 2026 ])
+
+(* MD5 of [to_json] over one spec per fault path, recorded when the
+   campaign still had its own copy of the allocation loop: running on
+   Simulate's loop must not move a byte of any report. *)
+let test_campaign_digest_matrix () =
+  let spec ?(duration_us = 60_000.0) ?engine ~seed edit =
+    let base =
+      {
+        (Desim.Simulate.default_spec ()) with
+        Desim.Simulate.duration_us;
+        seed;
+        retrieval_engine = Option.map (fun n -> get (Engines.of_name n)) engine;
+      }
+    in
+    edit { (C.default_spec ()) with C.base }
+  in
+  let fail ?dur device at =
+    {
+      C.df_device_id = device;
+      df_at_us = at;
+      df_kind =
+        (match dur with None -> `Permanent | Some d -> `Transient d);
+    }
+  in
+  let jitter j s =
+    { s with C.retry = { s.C.retry with C.backoff_jitter = j } }
+  in
+  List.iter
+    (fun (name, spec, digest) ->
+      Alcotest.(check string)
+        name digest
+        (Digest.to_hex (Digest.string (C.to_json (C.run spec)))))
+    [
+      ( "flash and bitstream errors, deadline misses",
+        spec ~seed:3 (fun s ->
+            {
+              s with
+              C.flash_error_prob = 0.2;
+              reconfig_fail_prob = 0.2;
+              load_deadline_us = Some 50.0;
+            }),
+        "eac0f18c72180759c2b1f5ce108c7d21" );
+      ( "retries exhausted",
+        spec ~duration_us:30_000.0 ~seed:5 (fun s ->
+            {
+              s with
+              C.reconfig_fail_prob = 0.95;
+              retry = { s.C.retry with C.max_retries = 0 };
+            }),
+        "2bf44d0594332a3defb83a7534e410e0" );
+      ( "permanent and transient device failures",
+        spec ~seed:11 (fun s ->
+            {
+              s with
+              C.device_faults =
+                [ fail "dsp0" 20_000.0; fail ~dur:15_000.0 "fpga0" 10_000.0 ];
+            }),
+        "556066b983b329477989a62037c72a4c" );
+      ( "seu with scrubbing",
+        spec ~seed:42 (fun s ->
+            {
+              s with
+              C.seu_mean_interval_us = Some 2_000.0;
+              scrub_period_us = Some 5_000.0;
+            }),
+        "9b3510c716f81904d07adfb98db22519" );
+      ( "seu without scrubbing",
+        spec ~seed:42 (fun s ->
+            { s with C.seu_mean_interval_us = Some 2_000.0 }),
+        "1e967c2d3807c2c5c32a79d493f1ad4d" );
+      ( "jitter 0",
+        spec ~seed:2026 (fun s ->
+            jitter 0.0 { s with C.reconfig_fail_prob = 0.3 }),
+        "8461c6994883833d6c08a73a962b9d23" );
+      ( "jitter 0.5",
+        spec ~seed:2026 (fun s ->
+            jitter 0.5 { s with C.reconfig_fail_prob = 0.3 }),
+        "200b02ffa18f2017cf57f523215ee2d5" );
+      ( "native engine",
+        spec ~seed:9 ~engine:"native" (fun s ->
+            {
+              s with
+              C.reconfig_fail_prob = 0.1;
+              seu_mean_interval_us = Some 3_000.0;
+              scrub_period_us = Some 4_000.0;
+            }),
+        "561d11549963511f82cd1565236b8d60" );
+      ( "lost tasks under retried load failures",
+        spec ~duration_us:100_000.0 ~seed:1 (fun s ->
+            {
+              s with
+              C.device_faults =
+                [
+                  fail "dsp0" 5_000.0;
+                  fail "fpga0" 6_000.0;
+                  fail ~dur:2_000.0 "gpp0" 7_000.0;
+                ];
+              reconfig_fail_prob = 0.2;
+              flash_error_prob = 0.1;
+              retry =
+                {
+                  s.C.retry with
+                  C.max_retries = 5;
+                  backoff_base_us = 100.0;
+                  backoff_factor = 3.0;
+                  backoff_cap_us = 2_000.0;
+                };
+            }),
+        "06c2c9f4eca5a07d50fca5c68c5af225" );
+    ]
+
+(* Every malformed field is a diagnostic, never a hang or a crash deep
+   inside the run. *)
+let test_campaign_rejects_malformed_specs () =
+  let retry edit s = { s with C.retry = edit s.C.retry } in
+  let fail df_at_us df_kind s =
+    {
+      s with
+      C.device_faults = [ { C.df_device_id = "dsp0"; df_at_us; df_kind } ];
+    }
+  in
+  let duration_us d s =
+    { s with C.base = { s.C.base with Desim.Simulate.duration_us = d } }
+  in
+  List.iter
+    (fun (field, edit) ->
+      let spec = edit (base_spec ()) in
+      match C.validate spec with
+      | Ok () -> Alcotest.failf "malformed %s accepted" field
+      | Error msg ->
+          check_bool (field ^ " named") true
+            (String.starts_with ~prefix:("faults: " ^ field) msg);
+          Alcotest.check_raises (field ^ ": run raises") (Invalid_argument msg)
+            (fun () -> ignore (C.run spec)))
+    [
+      ("duration_us", duration_us infinity);
+      ( "seu_mean_interval_us",
+        fun s -> { s with C.seu_mean_interval_us = Some 0.0 } );
+      ("scrub_period_us", fun s -> { s with C.scrub_period_us = Some 0.0 });
+      ("reconfig_fail_prob", fun s -> { s with C.reconfig_fail_prob = 1.5 });
+      ("flash_error_prob", fun s -> { s with C.flash_error_prob = Float.nan });
+      ("load_deadline_us", fun s -> { s with C.load_deadline_us = Some (-1.) });
+      ("max_retries", retry (fun r -> { r with C.max_retries = -1 }));
+      ("backoff_base_us", retry (fun r -> { r with C.backoff_base_us = nan }));
+      ("backoff_factor", retry (fun r -> { r with C.backoff_factor = 0.5 }));
+      ( "backoff_cap_us",
+        retry (fun r -> { r with C.backoff_cap_us = infinity }) );
+      ("backoff_jitter", retry (fun r -> { r with C.backoff_jitter = 1.0 }));
+      ("device fault time", fail Float.nan `Permanent);
+      ("device fault duration", fail 100.0 (`Transient (-50.0)));
+    ];
+  check_bool "the default spec passes" true (C.validate (base_spec ()) = Ok ())
+
 let test_verdict_strings () =
   check_bool "clean" true (C.verdict_to_string C.Clean = "clean");
   check_bool "degraded" true
@@ -279,5 +460,10 @@ let () =
           Alcotest.test_case "transient device failure" `Quick
             test_campaign_transient_device_failure;
           Alcotest.test_case "verdict strings" `Quick test_verdict_strings;
+          Alcotest.test_case "lockstep with simulate" `Quick
+            test_campaign_lockstep_with_simulate;
+          Alcotest.test_case "digest matrix" `Quick test_campaign_digest_matrix;
+          Alcotest.test_case "rejects malformed specs" `Quick
+            test_campaign_rejects_malformed_specs;
         ] );
     ]
