@@ -492,19 +492,42 @@ let rec keep_class classes cls k tail = function
       else keep_class classes cls (k + 1) tail rest
 
 let validate (spec : spec) =
-  let positive_finite x = Float.is_finite x && x > 0.0 in
-  if not (positive_finite spec.duration_us) then
-    Error
-      (Printf.sprintf "serve: duration_us must be finite and > 0 (got %g)"
-         spec.duration_us)
-  else if not (positive_finite spec.load_scale) then
-    Error
-      (Printf.sprintf "serve: load_scale must be finite and > 0 (got %g)"
-         spec.load_scale)
-  else if fst spec.outage.Faults.Outages.transient_down_us < 0.0 then
-    (* A negative duration would end an outage before it starts. *)
-    Error "serve: transient outage durations must be >= 0"
-  else Ok ()
+  let ( let* ) = Result.bind in
+  let require ok fmt =
+    Printf.ksprintf (fun msg -> if ok then Ok () else Error msg) fmt
+  in
+  let positive_finite name x =
+    require (Float.is_finite x && x > 0.0) "%s must be finite and > 0 (got %g)"
+      name x
+  in
+  let lo, hi = spec.outage.Faults.Outages.transient_down_us in
+  Result.map_error
+    (fun msg -> "serve: " ^ msg)
+    (let* () = positive_finite "duration_us" spec.duration_us in
+     let* () = positive_finite "load_scale" spec.load_scale in
+     (* A negative duration would end an outage before it starts, and a
+        NaN one (left to the next check) never ends the bounce storm. *)
+     let* () =
+       require (not (lo < 0.0)) "transient outage durations must be >= 0"
+     in
+     let* () =
+       require
+         (Float.is_finite lo && Float.is_finite hi && lo <= hi)
+         "transient outage durations must be finite with lo <= hi (got %g,%g)"
+         lo hi
+     in
+     let* () =
+       Option.fold ~none:(Ok ())
+         ~some:(positive_finite "transient_mean_us")
+         spec.outage.Faults.Outages.transient_mean_us
+     in
+     let* () = Faults.Backoff.validate spec.backoff in
+     match spec.slo with
+     | None -> Ok ()
+     | Some s ->
+         require
+           (s.slo_availability > 0.0 && s.slo_availability <= 1.0)
+           "slo target must be in (0, 1] (got %g)" s.slo_availability)
 
 let run ?obs (spec : spec) =
   let ( let* ) = Result.bind in
@@ -1128,12 +1151,15 @@ let run ?obs (spec : spec) =
 
 (* --- rendering -------------------------------------------------------------- *)
 
+(* Digits of [n >= 0]. *)
+let rec decimal_width n = if n < 10 then 1 else 1 + decimal_width (n / 10)
+
 (* [jobs] and the arrival source are deliberately absent: the rendering
    (and so the digest) is the cross-[jobs] and stream-vs-pregenerated
    determinism contract. *)
 let results_to_string (r : report) =
   let buf = Buffer.create (96 * (r.requests + 16)) in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let add fmt = Printf.bprintf buf fmt in
   add "cluster-results v2\n";
   add "seed=%d duration_us=%.1f nodes=%d replication=%d domains=%d engine=%s\n"
     r.seed r.duration_us r.nodes r.replication r.fault_domains r.engine_name;
@@ -1164,20 +1190,38 @@ let results_to_string (r : report) =
         ns.ns_breaker_opens ns.ns_downtime_us ns.ns_resyncs
         (Health.status_to_string ns.ns_end_status))
     r.per_node;
+  (* The per-request lines dominate the report: written straight into
+     [buf], byte-identical to [%4d app=%s type=%d t=%.3f ...]. *)
+  let addi n = Obs.Jsonu.add_int buf n in
+  let adds s = Buffer.add_string buf s in
   Array.iteri
     (fun i o ->
       let app, type_id, at = r.request_meta.(i) in
-      add "%4d app=%s type=%d t=%.3f " i app type_id at;
+      for _ = decimal_width i to 3 do Buffer.add_char buf ' ' done;
+      addi i;
+      adds " app=";
+      adds app;
+      adds " type=";
+      addi type_id;
+      adds " t=";
+      adds (Obs.Jsonu.format_float "%.3f" at);
       (match o with
       | Full { node; decision } ->
-          add "full node=%d impl=%d score=%d" node decision.Engine.impl_id
-            (Fxp.Q15.to_raw decision.Engine.score)
+          adds " full node=";
+          addi node;
+          adds " impl=";
+          addi decision.Engine.impl_id;
+          adds " score=";
+          addi (Fxp.Q15.to_raw decision.Engine.score)
       | Degraded { stale_impl; reason } ->
-          add "degraded stale=%s reason=%s"
-            (match stale_impl with Some i -> string_of_int i | None -> "-")
-            (reason_to_string reason)
-      | Failed msg -> add "failed: %s" msg);
-      add "\n")
+          adds " degraded stale=";
+          (match stale_impl with Some i -> addi i | None -> adds "-");
+          adds " reason=";
+          adds (reason_to_string reason)
+      | Failed msg ->
+          adds " failed: ";
+          adds msg);
+      Buffer.add_char buf '\n')
     r.outcomes;
   Buffer.contents buf
 

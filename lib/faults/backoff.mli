@@ -28,6 +28,12 @@ type policy = {
 val default : policy
 (** 200 us base, factor 2, 5000 us cap, 0.1 jitter. *)
 
+val validate : policy -> (unit, string) result
+(** The policy contract {!delay} relies on: [base_us] finite and > 0,
+    [factor] finite and >= 1, [cap_us] finite and >= 0, [jitter] in
+    [[0, 1)].  The error names the first field that breaks it, as
+    ["backoff_factor must be finite and >= 1 (got 0.5)"]. *)
+
 val delay : policy -> attempt:int -> u:float -> float
 (** Delay before retry [attempt] (0-based), jittered by the uniform
     draw [u] in [0, 1).  [u = 0.5] yields exactly the capped

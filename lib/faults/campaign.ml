@@ -155,7 +155,7 @@ type outage = {
   mutable since : float option;  (** Onset of the current outage. *)
 }
 
-(* The backoff rules are [Backoff.delay]'s own contract. *)
+(* The backoff rules are [Backoff.validate]'s, shared with serve. *)
 let validate spec =
   let check ok rule name v =
     if ok v then None
@@ -175,12 +175,9 @@ let validate spec =
     prob "flash_error_prob" spec.flash_error_prob;
     opt non_neg "load_deadline_us" spec.load_deadline_us;
     non_neg "max_retries" (float_of_int r.max_retries);
-    positive "backoff_base_us" r.backoff_base_us;
-    finite_and (fun f -> f >= 1.0) "finite and >= 1" "backoff_factor"
-      r.backoff_factor;
-    non_neg "backoff_cap_us" r.backoff_cap_us;
-    check (fun j -> j >= 0.0 && j < 1.0) "in [0, 1)" "backoff_jitter"
-      r.backoff_jitter;
+    (match Backoff.validate (backoff_policy r) with
+    | Ok () -> None
+    | Error msg -> Some msg);
   ]
   @ List.concat_map
       (fun df ->

@@ -57,16 +57,22 @@ let recorded = function Noop -> 0 | Recording s -> s.recorded
 let dropped = function Noop -> 0 | Recording s -> s.recorded - s.stored
 let capacity = function Noop -> 0 | Recording s -> s.capacity
 
-let events = function
-  | Noop -> []
+(* Surviving events oldest-first: the slot after the write cursor when
+   the ring has wrapped, slot 0 otherwise. *)
+let iter f = function
+  | Noop -> ()
   | Recording s ->
-      (* Oldest-first: the slot after the write cursor when the ring has
-         wrapped, slot 0 otherwise. *)
       let start = if s.stored < s.capacity then 0 else s.next in
-      List.init s.stored (fun i ->
-          match s.ring.((start + i) mod s.capacity) with
-          | Some e -> e
-          | None -> assert false)
+      for i = 0 to s.stored - 1 do
+        match s.ring.((start + i) mod s.capacity) with
+        | Some e -> f e
+        | None -> assert false
+      done
+
+let events t =
+  let acc = ref [] in
+  iter (fun e -> acc := e :: !acc) t;
+  List.rev !acc
 
 let kind_name = function
   | Request_admitted _ -> "request-admitted"
@@ -85,65 +91,76 @@ let kind_name = function
   | Queue_shed _ -> "queue-shed"
   | Slo_alert _ -> "slo-alert"
 
+let add_int_field buf key n =
+  Buffer.add_string buf key;
+  Jsonu.add_int buf n
+
+let add_opt_int_field buf key = function
+  | None -> ()
+  | Some n -> add_int_field buf key n
+
+let add_str_field buf key v =
+  Buffer.add_string buf key;
+  Jsonu.add_str buf v
+
+let add_float_field buf key v =
+  Buffer.add_string buf key;
+  Jsonu.add_float buf v
+
 (* One event, one line, fixed field order: ts, event, request, node,
-   then the kind's own fields.  Every number goes through
-   [Jsonu.float_str] / [%d], so the export is byte-deterministic. *)
-let event_ndjson e =
-  let buf = Buffer.create 96 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "{\"ts\":%s,\"event\":%s" (Jsonu.float_str e.ts)
-    (Jsonu.str (kind_name e.kind));
-  (match e.request with None -> () | Some r -> add ",\"request\":%d" r);
-  (match e.node with None -> () | Some n -> add ",\"node\":%d" n);
+   then the kind's own fields.  Every number goes through the
+   [Jsonu] writers, so the export is byte-deterministic. *)
+let add_event buf e =
+  add_float_field buf "{\"ts\":" e.ts;
+  add_str_field buf ",\"event\":" (kind_name e.kind);
+  add_opt_int_field buf ",\"request\":" e.request;
+  add_opt_int_field buf ",\"node\":" e.node;
   (match e.kind with
   | Request_admitted { app; type_id } ->
-      add ",\"app\":%s,\"type\":%d" (Jsonu.str app) type_id
+      add_str_field buf ",\"app\":" app;
+      add_int_field buf ",\"type\":" type_id
   | Request_retry { attempt; delay_us } ->
-      add ",\"attempt\":%d,\"delay_us\":%s" attempt (Jsonu.float_str delay_us)
-  | Request_failover { from_node } -> add ",\"from_node\":%d" from_node
-  | Request_shed { at_node } -> add ",\"at_node\":%d" at_node
+      add_int_field buf ",\"attempt\":" attempt;
+      add_float_field buf ",\"delay_us\":" delay_us
+  | Request_failover { from_node } ->
+      add_int_field buf ",\"from_node\":" from_node
+  | Request_shed { at_node } -> add_int_field buf ",\"at_node\":" at_node
   | Request_steal { from_node; to_node; scope } ->
-      add ",\"from_node\":%d" from_node;
-      (match to_node with None -> () | Some n -> add ",\"to_node\":%d" n);
-      add ",\"scope\":%s" (Jsonu.str scope)
+      add_int_field buf ",\"from_node\":" from_node;
+      add_opt_int_field buf ",\"to_node\":" to_node;
+      add_str_field buf ",\"scope\":" scope
   | Request_degraded { reason; stale_impl } ->
-      add ",\"reason\":%s" (Jsonu.str reason);
-      (match stale_impl with
-      | None -> ()
-      | Some impl -> add ",\"stale_impl\":%d" impl)
+      add_str_field buf ",\"reason\":" reason;
+      add_opt_int_field buf ",\"stale_impl\":" stale_impl
   | Request_completed { at_node; impl_id; latency_us } ->
-      add ",\"at_node\":%d,\"impl\":%d,\"latency_us\":%s" at_node impl_id
-        (Jsonu.float_str latency_us)
-  | Request_failed { error } -> add ",\"error\":%s" (Jsonu.str error)
-  | Node_transition { prev; next } ->
-      add ",\"prev\":%s,\"next\":%s" (Jsonu.str prev) (Jsonu.str next)
+      add_int_field buf ",\"at_node\":" at_node;
+      add_int_field buf ",\"impl\":" impl_id;
+      add_float_field buf ",\"latency_us\":" latency_us
+  | Request_failed { error } -> add_str_field buf ",\"error\":" error
+  | Node_transition { prev; next } | Breaker_transition { prev; next } ->
+      add_str_field buf ",\"prev\":" prev;
+      add_str_field buf ",\"next\":" next
   | Node_rejoin { resync_lag_us } ->
-      add ",\"resync_lag_us\":%s" (Jsonu.float_str resync_lag_us)
-  | Breaker_transition { prev; next } ->
-      add ",\"prev\":%s,\"next\":%s" (Jsonu.str prev) (Jsonu.str next)
+      add_float_field buf ",\"resync_lag_us\":" resync_lag_us
   | Scrub { corrupted_words; diagnostics } ->
-      add ",\"corrupted_words\":%d,\"diagnostics\":%d" corrupted_words
-        diagnostics
+      add_int_field buf ",\"corrupted_words\":" corrupted_words;
+      add_int_field buf ",\"diagnostics\":" diagnostics
   | Relocation { device; qos_delta } ->
-      add ",\"device\":%s,\"qos_delta\":%s" (Jsonu.str device)
-        (Jsonu.float_str qos_delta)
-  | Queue_shed { shard } -> add ",\"shard\":%d" shard
+      add_str_field buf ",\"device\":" device;
+      add_float_field buf ",\"qos_delta\":" qos_delta
+  | Queue_shed { shard } -> add_int_field buf ",\"shard\":" shard
   | Slo_alert { objective; state; burn_fast; burn_slow } ->
-      add ",\"objective\":%s,\"state\":%s,\"burn_fast\":%s,\"burn_slow\":%s"
-        (Jsonu.str objective) (Jsonu.str state) (Jsonu.float_str burn_fast)
-        (Jsonu.float_str burn_slow));
-  add "}";
-  Buffer.contents buf
+      add_str_field buf ",\"objective\":" objective;
+      add_str_field buf ",\"state\":" state;
+      add_float_field buf ",\"burn_fast\":" burn_fast;
+      add_float_field buf ",\"burn_slow\":" burn_slow);
+  Buffer.add_string buf "}\n"
 
 let to_ndjson t =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (event_ndjson e);
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.add_string buf
-    (Printf.sprintf "{\"event\":\"eventlog-summary\",\"recorded\":%d,\
-                     \"dropped\":%d}\n"
-       (recorded t) (dropped t));
+  iter (add_event buf) t;
+  add_int_field buf "{\"event\":\"eventlog-summary\",\"recorded\":"
+    (recorded t);
+  add_int_field buf ",\"dropped\":" (dropped t);
+  Buffer.add_string buf "}\n";
   Buffer.contents buf

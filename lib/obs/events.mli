@@ -7,11 +7,11 @@
     sim-time and optional request/node correlation fields.
 
     Storage is a bounded ring buffer: when full, the oldest event is
-    overwritten and the explicit {!dropped} counter grows, so the log
-    never allocates beyond its capacity and loss is visible, never
-    silent.  The disabled sink ({!noop}) records nothing and allocates
-    nothing — one constructor match per {!record} call, the same cost
-    contract as {!Tracer.noop}.
+    overwritten and the explicit {!dropped} counter grows, so the ring
+    bounds retention and loss is visible, never silent.  {!record}
+    still allocates the event itself.  The disabled sink ({!noop})
+    records nothing and allocates nothing — one constructor match per
+    {!record} call, the same cost contract as {!Tracer.noop}.
 
     Every timestamp is caller-supplied sim-time, so for a fixed seed the
     {!to_ndjson} export is byte-deterministic — event recording must
@@ -90,4 +90,5 @@ val to_ndjson : t -> string
 (** One JSON object per line — fixed field order [ts, event, request,
     node, ...] — terminated by an [eventlog-summary] line carrying the
     {!recorded}/{!dropped} totals.  Byte-deterministic for a fixed
-    event sequence. *)
+    event sequence.  Written in place from the ring through the
+    {!Jsonu} writers: no event list, no per-event string. *)

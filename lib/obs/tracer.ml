@@ -52,35 +52,44 @@ let open_spans = function Noop -> 0 | Collecting s -> List.length s.stack
 
 let ph_str = function B -> "B" | E -> "E" | X -> "X"
 
-let event_json e =
-  let buf = Buffer.create 96 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":%s,\"cat\":\"qosalloc\",\"ph\":\"%s\",\"ts\":%s"
-       (Jsonu.str e.name) (ph_str e.ph) (Jsonu.float_str e.ts));
-  if e.ph = X then
-    Buffer.add_string buf (Printf.sprintf ",\"dur\":%s" (Jsonu.float_str e.dur));
+(* [sep] opens the object, then separates its members. *)
+let rec add_args buf sep = function
+  | [] -> ()
+  | (k, v) :: rest ->
+      Buffer.add_char buf sep;
+      Jsonu.add_str buf k;
+      Buffer.add_char buf ':';
+      Jsonu.add_str buf v;
+      add_args buf ',' rest
+
+let add_event buf e =
+  Buffer.add_string buf "{\"name\":";
+  Jsonu.add_str buf e.name;
+  Buffer.add_string buf ",\"cat\":\"qosalloc\",\"ph\":\"";
+  Buffer.add_string buf (ph_str e.ph);
+  Buffer.add_string buf "\",\"ts\":";
+  Jsonu.add_float buf e.ts;
+  if e.ph = X then begin
+    Buffer.add_string buf ",\"dur\":";
+    Jsonu.add_float buf e.dur
+  end;
   Buffer.add_string buf ",\"pid\":1,\"tid\":1";
   (match e.args with
   | [] -> ()
   | args ->
-      Buffer.add_string buf ",\"args\":{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_string buf ",";
-          Buffer.add_string buf (Jsonu.str k ^ ":" ^ Jsonu.str v))
-        args;
-      Buffer.add_string buf "}");
-  Buffer.add_string buf "}";
-  Buffer.contents buf
+      Buffer.add_string buf ",\"args\":";
+      add_args buf '{' args;
+      Buffer.add_char buf '}');
+  Buffer.add_char buf '}'
 
 let to_json t =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "{\"traceEvents\":[";
   List.iteri
     (fun i e ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf (event_json e))
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '\n';
+      add_event buf e)
     (events t);
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

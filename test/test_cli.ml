@@ -405,6 +405,43 @@ let test_serve_malformed_input () =
       "--load-scale nan --stream --requests 100";
       "--duration-us inf --stream --requests 100";
       "--duration-us nan";
+      "--kill-frac 0.34 --bounce-mean-us 20000 --backoff-jitter 2";
+      "--kill-frac 0.34 --bounce-mean-us 20000 --backoff-jitter=-1";
+      "--kill-frac 0.34 --bounce-mean-us 20000 --backoff-us 0";
+      "--kill-frac 0.34 --bounce-mean-us 20000 --backoff-factor 0.5";
+      "--kill-frac 0.34 --bounce-mean-us 20000 --backoff-cap-us nan";
+      "--bounce-mean-us=0";
+      "--slo=2:500";
+      "--bounce-down-us=nan,5";
+    ]
+
+(* Every serve export of a chaos run with both SLO trackers, pinned byte
+   for byte: the exporters write straight into one buffer, and these
+   digests were recorded from the per-event Printf formatters they
+   replaced.  The run misses its latency objective, hence exit 2. *)
+let test_serve_exports_pinned () =
+  let path name = Filename.concat tmp_dir ("pinned_" ^ name) in
+  let code, _ =
+    run_cli
+      (Printf.sprintf
+         "serve --duration-us 100000 --seed 3 --kill-frac 0.34 \
+          --bounce-mean-us 20000 --slo 0.99:500 --out %s --events-out %s \
+          --trace-out %s --metrics %s --slo-out %s"
+         (path "out.txt") (path "events.ndjson") (path "trace.json")
+         (path "metrics.prom") (path "slo.json"))
+  in
+  check_int "latency objective missed" 2 code;
+  List.iter
+    (fun (name, digest) ->
+      Alcotest.(check string)
+        (name ^ " digest") digest
+        (Digest.to_hex (Digest.file (path name))))
+    [
+      ("out.txt", "cf208a97fc434a79baadaa3a3e376e51");
+      ("events.ndjson", "bde116a339712b54f7009911e4979968");
+      ("trace.json", "e33eff9cca743b4c1df5d66ec55d36c5");
+      ("metrics.prom", "7ea2c81aa85634a48caede629e0cfd67");
+      ("slo.json", "4d72493a3ce5b72a94efb0a758e84016");
     ]
 
 (* The same contract for the single-system commands.  Without it, an
@@ -491,6 +528,8 @@ let () =
             test_faults_unrecovered_exit2;
           Alcotest.test_case "serve malformed input exit 2" `Quick
             test_serve_malformed_input;
+          Alcotest.test_case "serve exports pinned" `Quick
+            test_serve_exports_pinned;
           Alcotest.test_case "faults/simulate malformed input exit 2" `Quick
             test_faults_simulate_malformed_input;
           Alcotest.test_case "faults stable json" `Quick

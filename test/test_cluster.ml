@@ -338,6 +338,40 @@ let test_serve_alloc_budget () =
   if per_req > 160.0 then
     Alcotest.failf "%.1f minor words per request, budget 160" per_req
 
+(* The flight-recorder exports and the report of the CLI's pinned chaos
+   run (test_cli), in minor words per request.  The writers put every
+   byte straight into one buffer; the per-event Printf formatters they
+   replaced cost ~1100 (events), ~900 (trace) and ~200 (report). *)
+let test_serve_export_budget () =
+  let obs =
+    Obs.Ctx.create ~tracer:(Obs.Tracer.collecting ()) ~events:(Ev.recording ())
+      ()
+  in
+  let s =
+    {
+      (spec ~duration_us:100_000.0 ~seed:3 ~outage:outage_spec ()) with
+      Serve.slo = Some (Serve.default_slo ~availability:0.99 ~latency_us:500.0);
+    }
+  in
+  let r = get (Serve.run ~obs s) in
+  let per_req render =
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (render ()));
+    (Gc.minor_words () -. w0) /. float_of_int r.Serve.requests
+  in
+  List.iter
+    (fun (name, budget, render) ->
+      let words = per_req render in
+      if words > budget then
+        Alcotest.failf "%s: %.1f minor words per request, budget %.0f" name
+          words budget)
+    [
+      ("events export", 10.0, fun () -> Ev.to_ndjson obs.Obs.Ctx.events);
+      ("trace export", 100.0, fun () -> Obs.Tracer.to_json obs.Obs.Ctx.tracer);
+      ("report", 40.0, fun () -> Serve.results_to_string r);
+    ]
+
 let contains s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -933,6 +967,7 @@ let () =
           Alcotest.test_case "degraded path" `Quick test_serve_degraded_path;
           Alcotest.test_case "ladder digest" `Quick test_serve_ladder_digest;
           Alcotest.test_case "allocation budget" `Quick test_serve_alloc_budget;
+          Alcotest.test_case "export budget" `Quick test_serve_export_budget;
           Alcotest.test_case "negative outage durations" `Quick
             test_serve_rejects_negative_outages;
           Alcotest.test_case "obs metrics" `Quick test_serve_obs;

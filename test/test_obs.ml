@@ -377,6 +377,9 @@ let test_slo_zero_budget_finite () =
 
 (* --- JSON primitives --------------------------------------------------- *)
 
+let prop ?print name gen f =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ?print ~name gen f)
+
 let test_jsonu_float_str () =
   check_str "integers render bare" "42" (Obs.Jsonu.float_str 42.0);
   check_str "negative zero canonicalized" "0" (Obs.Jsonu.float_str (-0.0));
@@ -389,6 +392,291 @@ let test_jsonu_float_str () =
     (raises_invalid (fun () -> Obs.Jsonu.float_str Float.infinity));
   check_bool "-inf rejected" true
     (raises_invalid (fun () -> Obs.Jsonu.float_str Float.neg_infinity))
+
+let add_float_str v =
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "x=";
+  Obs.Jsonu.add_float buf v;
+  Buffer.contents buf
+
+let test_jsonu_add_float () =
+  List.iter
+    (fun v ->
+      check_str (Printf.sprintf "%h" v) ("x=" ^ Obs.Jsonu.float_str v)
+        (add_float_str v))
+    [ 0.0; -0.0; 42.0; -3.0; 1.5; 1e15 -. 1.0; 1e15; -1e15; 0.0078125;
+      5e-324; 1e300 ];
+  List.iter
+    (fun v ->
+      check_bool (Printf.sprintf "%h rejected" v) true
+        (raises_invalid (fun () -> add_float_str v)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+(* --- Exporters against a Printf oracle --------------------------------- *)
+
+(* The per-event formatters the exporters used before they wrote into
+   one buffer, kept verbatim as the byte-level reference. *)
+module Oracle = struct
+  let escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let str s = "\"" ^ escape s ^ "\""
+
+  let float_str v =
+    if not (Float.is_finite v) then invalid_arg "non-finite";
+    let v = if v = 0.0 then 0.0 else v in
+    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.6f" v
+
+  let event_ndjson (e : Ev.event) =
+    let buf = Buffer.create 96 in
+    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    add "{\"ts\":%s,\"event\":%s" (float_str e.ts) (str (Ev.kind_name e.kind));
+    (match e.request with None -> () | Some r -> add ",\"request\":%d" r);
+    (match e.node with None -> () | Some n -> add ",\"node\":%d" n);
+    (match e.kind with
+    | Ev.Request_admitted { app; type_id } ->
+        add ",\"app\":%s,\"type\":%d" (str app) type_id
+    | Request_retry { attempt; delay_us } ->
+        add ",\"attempt\":%d,\"delay_us\":%s" attempt (float_str delay_us)
+    | Request_failover { from_node } -> add ",\"from_node\":%d" from_node
+    | Request_shed { at_node } -> add ",\"at_node\":%d" at_node
+    | Request_steal { from_node; to_node; scope } ->
+        add ",\"from_node\":%d" from_node;
+        (match to_node with None -> () | Some n -> add ",\"to_node\":%d" n);
+        add ",\"scope\":%s" (str scope)
+    | Request_degraded { reason; stale_impl } ->
+        add ",\"reason\":%s" (str reason);
+        (match stale_impl with
+        | None -> ()
+        | Some impl -> add ",\"stale_impl\":%d" impl)
+    | Request_completed { at_node; impl_id; latency_us } ->
+        add ",\"at_node\":%d,\"impl\":%d,\"latency_us\":%s" at_node impl_id
+          (float_str latency_us)
+    | Request_failed { error } -> add ",\"error\":%s" (str error)
+    | Node_transition { prev; next } ->
+        add ",\"prev\":%s,\"next\":%s" (str prev) (str next)
+    | Node_rejoin { resync_lag_us } ->
+        add ",\"resync_lag_us\":%s" (float_str resync_lag_us)
+    | Breaker_transition { prev; next } ->
+        add ",\"prev\":%s,\"next\":%s" (str prev) (str next)
+    | Scrub { corrupted_words; diagnostics } ->
+        add ",\"corrupted_words\":%d,\"diagnostics\":%d" corrupted_words
+          diagnostics
+    | Relocation { device; qos_delta } ->
+        add ",\"device\":%s,\"qos_delta\":%s" (str device)
+          (float_str qos_delta)
+    | Queue_shed { shard } -> add ",\"shard\":%d" shard
+    | Slo_alert { objective; state; burn_fast; burn_slow } ->
+        add ",\"objective\":%s,\"state\":%s,\"burn_fast\":%s,\"burn_slow\":%s"
+          (str objective) (str state) (float_str burn_fast)
+          (float_str burn_slow));
+    add "}";
+    Buffer.contents buf
+
+  let to_ndjson t =
+    let buf = Buffer.create 4096 in
+    List.iter
+      (fun e ->
+        Buffer.add_string buf (event_ndjson e);
+        Buffer.add_char buf '\n')
+      (Ev.events t);
+    Buffer.add_string buf
+      (Printf.sprintf
+         "{\"event\":\"eventlog-summary\",\"recorded\":%d,\"dropped\":%d}\n"
+         (Ev.recorded t) (Ev.dropped t));
+    Buffer.contents buf
+
+  let ph_str = function Tr.B -> "B" | Tr.E -> "E" | Tr.X -> "X"
+
+  let event_json (e : Tr.event) =
+    let buf = Buffer.create 96 in
+    Buffer.add_string buf
+      (Printf.sprintf
+         "{\"name\":%s,\"cat\":\"qosalloc\",\"ph\":\"%s\",\"ts\":%s"
+         (str e.name) (ph_str e.ph) (float_str e.ts));
+    if e.ph = Tr.X then
+      Buffer.add_string buf (Printf.sprintf ",\"dur\":%s" (float_str e.dur));
+    Buffer.add_string buf ",\"pid\":1,\"tid\":1";
+    (match e.args with
+    | [] -> ()
+    | args ->
+        Buffer.add_string buf ",\"args\":{";
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_string buf ",";
+            Buffer.add_string buf (str k ^ ":" ^ str v))
+          args;
+        Buffer.add_string buf "}");
+    Buffer.add_string buf "}";
+    Buffer.contents buf
+
+  let to_json t =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf "{\"traceEvents\":[";
+    List.iteri
+      (fun i e ->
+        if i > 0 then Buffer.add_string buf ",";
+        Buffer.add_string buf "\n";
+        Buffer.add_string buf (event_json e))
+      (Tr.events t);
+    Buffer.add_string buf "\n]}\n";
+    Buffer.contents buf
+end
+
+module G = QCheck2.Gen
+
+(* Quotes, backslashes, every named escape, other control characters,
+   DEL and UTF-8 bytes, mixed with plain text. *)
+let gen_string =
+  let special =
+    G.oneofl
+      [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\195'; '\169' ]
+  in
+  G.string_size ~gen:(G.frequency [ (3, G.printable); (1, special) ])
+    (G.int_range 0 12)
+
+let gen_int =
+  G.oneof [ G.small_signed_int; G.int; G.oneofl [ 0; -1; min_int; max_int ] ]
+
+(* The canonical form's edges: signed zero, both sides of the 1e15
+   integer cut-off, subnormals and [%.6f] rounding ties. *)
+let gen_float =
+  G.oneof
+    [
+      G.oneofl
+        [ 0.0; -0.0; 1e15 -. 1.0; 1e15; -.(1e15 -. 1.0); -1e15; 1e15 +. 0.5;
+          5e-324; 2.2250738585072009e-308; -5e-324; 0.0078125; -0.0078125;
+          0.0000005; 0.0000015; 2.5e-7; 1.0000005; 0.5; 1e300;
+          Float.max_float; -.Float.max_float ];
+      G.float_range (-1e6) 1e6;
+      G.map float_of_int G.small_signed_int;
+      G.map (fun x -> if Float.is_finite x then x else 0.0) G.float;
+    ]
+
+let gen_opt g = G.option g
+
+let gen_kind =
+  let open G in
+  oneof
+    [
+      map2 (fun app type_id -> Ev.Request_admitted { app; type_id })
+        gen_string gen_int;
+      map2 (fun attempt delay_us -> Ev.Request_retry { attempt; delay_us })
+        gen_int gen_float;
+      map (fun from_node -> Ev.Request_failover { from_node }) gen_int;
+      map (fun at_node -> Ev.Request_shed { at_node }) gen_int;
+      map3
+        (fun from_node to_node scope ->
+          Ev.Request_steal { from_node; to_node; scope })
+        gen_int (gen_opt gen_int) gen_string;
+      map2 (fun reason stale_impl -> Ev.Request_degraded { reason; stale_impl })
+        gen_string (gen_opt gen_int);
+      map3
+        (fun at_node impl_id latency_us ->
+          Ev.Request_completed { at_node; impl_id; latency_us })
+        gen_int gen_int gen_float;
+      map (fun error -> Ev.Request_failed { error }) gen_string;
+      map2 (fun prev next -> Ev.Node_transition { prev; next })
+        gen_string gen_string;
+      map (fun resync_lag_us -> Ev.Node_rejoin { resync_lag_us }) gen_float;
+      map2 (fun prev next -> Ev.Breaker_transition { prev; next })
+        gen_string gen_string;
+      map2
+        (fun corrupted_words diagnostics ->
+          Ev.Scrub { corrupted_words; diagnostics })
+        gen_int gen_int;
+      map2 (fun device qos_delta -> Ev.Relocation { device; qos_delta })
+        gen_string gen_float;
+      map (fun shard -> Ev.Queue_shed { shard }) gen_int;
+      (let* objective = gen_string and* state = gen_string in
+       let* burn_fast = gen_float and* burn_slow = gen_float in
+       return (Ev.Slo_alert { objective; state; burn_fast; burn_slow }));
+    ]
+
+let gen_event =
+  G.map4
+    (fun ts request node kind -> (ts, request, node, kind))
+    gen_float (gen_opt gen_int) (gen_opt gen_int) gen_kind
+
+(* Capacities 1..8 against up to 24 events: most logs wrap the ring. *)
+let gen_log =
+  G.pair (G.int_range 1 8) (G.list_size (G.int_range 0 24) gen_event)
+
+let record_log (capacity, evs) =
+  let t = Ev.recording ~capacity () in
+  List.iter
+    (fun (ts, request, node, kind) -> Ev.record t ~ts ?request ?node kind)
+    evs;
+  t
+
+type trace_op =
+  | Begin of float * (string * string) list * string
+  | End of float
+  | Complete of float * float * (string * string) list * string
+
+let gen_trace =
+  let args = G.list_size (G.int_range 0 3) (G.pair gen_string gen_string) in
+  G.list_size (G.int_range 0 24)
+    (G.oneof
+       [
+         G.map3 (fun ts a n -> Begin (ts, a, n)) gen_float args gen_string;
+         G.map (fun ts -> End ts) gen_float;
+         G.map4 (fun ts d a n -> Complete (ts, d, a, n)) gen_float gen_float
+           args gen_string;
+       ])
+
+(* [End] closes the innermost open span, or is skipped when none is. *)
+let replay_trace ops =
+  let t = Tr.collecting () in
+  let open_spans =
+    List.fold_left
+      (fun stack op ->
+        match (op, stack) with
+        | Begin (ts, args, name), _ -> Tr.begin_span t ~ts ~args name :: stack
+        | End ts, span :: rest ->
+            Tr.end_span t ~ts span;
+            rest
+        | End _, [] -> stack
+        | Complete (ts, dur, args, name), _ ->
+            Tr.complete t ~ts ~dur ~args name;
+            stack)
+      [] ops
+  in
+  ignore open_spans;
+  t
+
+let exporter_props =
+  [
+    prop "float_str matches the Printf oracle" ~print:(Printf.sprintf "%h")
+      gen_float (fun v ->
+        String.equal (Obs.Jsonu.float_str v) (Oracle.float_str v));
+    prop "str matches the Printf oracle" ~print:String.escaped gen_string
+      (fun s -> String.equal (Obs.Jsonu.str s) (Oracle.str s));
+    prop "add_int matches %d" ~print:string_of_int gen_int (fun n ->
+        let buf = Buffer.create 8 in
+        Obs.Jsonu.add_int buf n;
+        String.equal (Buffer.contents buf) (string_of_int n));
+    prop "events NDJSON matches the Printf oracle" gen_log (fun log ->
+        let t = record_log log in
+        String.equal (Ev.to_ndjson t) (Oracle.to_ndjson t));
+    prop "trace JSON matches the Printf oracle" gen_trace (fun ops ->
+        let t = replay_trace ops in
+        String.equal (Tr.to_json t) (Oracle.to_json t));
+  ]
 
 (* --- Instrumented simulation ------------------------------------------- *)
 
@@ -470,8 +758,6 @@ let test_profile_report_renders () =
         (String.length json > 0
         && String.sub json 0 11 = "{\"profile\":"
         && json.[String.length json - 1] = '\n')
-
-let prop name gen f = QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name gen f)
 
 let scenario_of_seed seed =
   let rng = Workload.Prng.create ~seed in
@@ -566,8 +852,11 @@ let () =
             test_slo_zero_budget_finite;
         ] );
       ( "jsonu",
-        [ Alcotest.test_case "float_str contract" `Quick test_jsonu_float_str ]
-      );
+        [
+          Alcotest.test_case "float_str contract" `Quick test_jsonu_float_str;
+          Alcotest.test_case "add_float contract" `Quick test_jsonu_add_float;
+        ] );
+      ("oracles", exporter_props);
       ( "profiler",
         [
           Alcotest.test_case "audio scenario" `Quick test_profile_audio;
