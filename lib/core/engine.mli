@@ -16,7 +16,15 @@
     The float and fixed instances live here; the cycle-reporting
     instances are adapters in [Rtlsim.Engine], [Netlist.Engine] and
     [Netlist.Compile], and [qosalloc.engines] collects all five under
-    their CLI names. *)
+    their CLI names.
+
+    {b Domains.} One {!t} is driven from one domain at a time: an
+    instance may own mutable scratch state (the [rtlsim] machine and its
+    Req-MEM are reused from call to call), so two domains must never
+    call the same instance at once.  Build one instance per domain, as
+    [Cluster.Serve.compute_decisions] (node [n] belongs to worker
+    [n mod jobs]) and [Parallel.Shard.partition] (one engine per shard)
+    do. *)
 
 type decision = {
   impl_id : int;  (** Winning implementation variant. *)

@@ -5,7 +5,8 @@ let max_value_word = 0xFFFE
 let address_space = 0x10000
 
 module Ram = struct
-  type t = { words : int array; mutable accesses : int }
+  (* [words] is mutable only so {!write_request} can grow a Req-MEM. *)
+  type t = { mutable words : int array; mutable accesses : int }
 
   let of_array words =
     Array.iter
@@ -14,6 +15,8 @@ module Ram = struct
           invalid_arg (Printf.sprintf "Ram.of_array: word %d out of range" w))
       words;
     { words = Array.copy words; accesses = 0 }
+
+  let blank () = { words = [| end_marker |]; accesses = 0 }
 
   let size t = Array.length t.words
 
@@ -51,12 +54,12 @@ type decoded_tree = (int * (int * (int * int) list) list) list
 
 let ( let* ) = Result.bind
 
-let check_value what v =
-  if v < 0 || v > max_value_word then
-    Error
-      (Printf.sprintf "%s %d collides with the end marker or is negative" what
-         v)
-  else Ok v
+let encodable v = v >= 0 && v <= max_value_word
+
+let refusal what v =
+  Printf.sprintf "%s %d collides with the end marker or is negative" what v
+
+let check_value what v = if encodable v then Ok v else Error (refusal what v)
 
 (* --- Request list ------------------------------------------------------ *)
 
@@ -79,6 +82,49 @@ let encode_request (r : Request.t) =
     @ [ end_marker ]
   in
   Ok (Array.of_list words)
+
+(* [encode_request]'s refusals, in its order, without a list or an [Ok]
+   box per word. *)
+let rec check_constraints = function
+  | [] -> Ok ()
+  | (c : Request.constr) :: rest ->
+      if not (encodable c.attr) then
+        Error (refusal "request attribute id" c.attr)
+      else if not (encodable c.value) then
+        Error (refusal "request attribute value" c.value)
+      else check_constraints rest
+
+let write_request (ram : Ram.t) (r : Request.t) =
+  (* [Request.normalized_weights] inline: the same left-to-right sum and
+     per-constraint division, so the Q15 weights are bit-identical. *)
+  let constrs = r.Request.constraints in
+  let count = List.length constrs in
+  let total = ref 0.0 and rest = ref constrs in
+  for _ = 1 to count do
+    total := !total +. (List.hd !rest).Request.weight;
+    rest := List.tl !rest
+  done;
+  let total = !total in
+  let n = if total <= 0.0 then 0 else count in
+  match if n = 0 then Ok () else check_constraints constrs with
+  | Error _ as e -> e
+  | Ok () ->
+      let len = (3 * n) + 2 in
+      if Array.length ram.words < len then
+        ram.words <- Array.make len end_marker;
+      let w = ram.words in
+      w.(0) <- r.Request.type_id;
+      let rest = ref constrs in
+      for i = 0 to n - 1 do
+        let c = List.hd !rest and q15 = Fxp.Q15.of_float in
+        w.((3 * i) + 1) <- c.Request.attr;
+        w.((3 * i) + 2) <- c.Request.value;
+        w.((3 * i) + 3) <- Fxp.Q15.to_raw (q15 (c.Request.weight /. total));
+        rest := List.tl !rest
+      done;
+      (* The end marker, and clear what a longer request left behind. *)
+      Array.fill w ((3 * n) + 1) (Array.length w - (3 * n) - 1) end_marker;
+      Ok ()
 
 let decode_request words =
   let n = Array.length words in
@@ -230,27 +276,29 @@ let encode_tree (cb : Casebase.t) =
     assert (!pos = total);
     Ok { words; type_directory; impl_directory }
 
-let decode_tree words =
+(* The END-terminated pair list of a tree image starting at [start]. *)
+let read_pairs words start =
   let n = Array.length words in
-  let read_pairs start =
-    let rec loop i acc =
-      if i >= n then Error "tree list lacks an end marker"
-      else if words.(i) = end_marker then Ok (List.rev acc, i + 1)
-      else if i + 1 >= n then Error "truncated tree pair"
-      else loop (i + 2) ((words.(i), words.(i + 1)) :: acc)
-    in
-    loop start []
+  let rec loop i acc =
+    if i >= n then Error "tree list lacks an end marker"
+    else if words.(i) = end_marker then Ok (List.rev acc)
+    else if i + 1 >= n then Error "truncated tree pair"
+    else loop (i + 2) ((words.(i), words.(i + 1)) :: acc)
   in
-  let* level0, _ = read_pairs 0 in
+  loop start []
+
+let decode_tree words =
+  let read_pairs = read_pairs words in
+  let* level0 = read_pairs 0 in
   List.fold_left
     (fun acc (type_id, l1_ptr) ->
       let* rev_types = acc in
-      let* level1, _ = read_pairs l1_ptr in
+      let* level1 = read_pairs l1_ptr in
       let* impls =
         List.fold_left
           (fun acc (impl_id, l2_ptr) ->
             let* rev_impls = acc in
-            let* attrs, _ = read_pairs l2_ptr in
+            let* attrs = read_pairs l2_ptr in
             Ok ((impl_id, attrs) :: rev_impls))
           (Ok []) level1
       in
@@ -284,6 +332,14 @@ let encode_cb cb =
   else
     Ok { cb_words; cb_supplemental_base = tree_words; cb_layout = layout }
 
+(* The words are in range by construction: every stored id and value
+   passed [check_value], pointers are below [address_space] and the
+   reciprocals are Q15.  So the RAM is built over the fresh array, with
+   no copy and no range scan, and the array goes nowhere else. *)
+let load_cb cb =
+  let* image = encode_cb cb in
+  Ok ({ Ram.words = image.cb_words; accesses = 0 }, image.cb_supplemental_base)
+
 let attach_request image request =
   let* req_mem = encode_request request in
   Ok
@@ -313,16 +369,7 @@ let reconstruct_system ~cb_mem ~req_mem ~supplemental_base =
     let* _ = decode_supplemental supplemental in
     let* _ = decode_request req_mem in
     (* Re-derive the directories by walking the pointer lists. *)
-    let read_pairs start =
-      let n = Array.length tree_words in
-      let rec loop i acc =
-        if i >= n then Error "tree list lacks an end marker"
-        else if tree_words.(i) = end_marker then Ok (List.rev acc)
-        else if i + 1 >= n then Error "truncated tree pair"
-        else loop (i + 2) ((tree_words.(i), tree_words.(i + 1)) :: acc)
-      in
-      loop start []
-    in
+    let read_pairs = read_pairs tree_words in
     let* level0 = read_pairs 0 in
     let* impl_dir_rev =
       List.fold_left

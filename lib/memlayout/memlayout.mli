@@ -48,6 +48,9 @@ module Ram : sig
   val of_array : int array -> t
   (** Copies; every word must be within [0, 0xFFFF]. *)
 
+  val blank : unit -> t
+  (** A one-word Req-MEM holding the end marker, for {!write_request}. *)
+
   val size : t -> int
 
   val read : t -> int -> int
@@ -70,6 +73,13 @@ type tree_layout = {
 
 val encode_request : Qos_core.Request.t -> (int array, string) result
 (** Weights are normalised then rounded to Q15. *)
+
+val write_request : Ram.t -> Qos_core.Request.t -> (unit, string) result
+(** Write the {!encode_request} image of a request into a Req-MEM the
+    caller owns, growing it only when the request is longer than any
+    before; every word past the image reads as the end marker.  Same
+    words, refusals and messages as {!encode_request}, without
+    building a list or an array. *)
 
 val encode_supplemental : Qos_core.Attr.Schema.t -> (int array, string) result
 
@@ -112,6 +122,11 @@ type cb_image = {
 
 val encode_cb : Qos_core.Casebase.t -> (cb_image, string) result
 (** The design-time CB-MEM content, reusable across requests. *)
+
+val load_cb : Qos_core.Casebase.t -> (Ram.t * int, string) result
+(** The {!encode_cb} image as a RAM, with its supplemental base.  The
+    RAM owns the image: no copy and no range scan, since every word
+    the encoder emits is in range. *)
 
 val attach_request :
   cb_image -> Qos_core.Request.t -> (system_image, string) result

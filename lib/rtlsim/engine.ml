@@ -14,27 +14,42 @@ let error_of_machine = function
       E.Engine_failure ("malformed RAM image: " ^ m)
 
 let create ?(config = Machine.paper_config) cb =
-  match Memlayout.encode_cb cb with
+  match Memlayout.load_cb cb with
   | Error e -> Error e
-  | Ok image ->
-      let run_outcome request =
-        match Memlayout.attach_request image request with
-        | Error m -> Error (E.Engine_failure m)
-        | Ok sys -> (
-            match Machine.run ~config sys with
-            | Ok o -> Ok o
+  | Ok (cb_ram, supplemental_base) ->
+      (* One machine over the CB-MEM built once and a Req-MEM rewritten
+         per request, so an engine is driven from one domain at a time
+         (the contract of [Qos_core.Engine.t]). *)
+      let req = Memlayout.Ram.blank () in
+      let m = Machine.load ~config ~cb:cb_ram ~req ~supplemental_base () in
+      let exec request =
+        match Memlayout.write_request req request with
+        | Error msg -> Error (E.Engine_failure msg)
+        | Ok () -> (
+            match Machine.exec m with
+            | Ok () -> Ok ()
             | Error e -> Error (error_of_machine e))
       in
-      let retrieve request = Result.map decision_of_outcome (run_outcome request) in
+      let retrieve request =
+        match exec request with
+        | Ok () ->
+            Ok
+              {
+                E.impl_id = Machine.best_impl_id m;
+                score = Machine.best_score m;
+                cycles = Some (Machine.cycles m);
+              }
+        | Error e -> Error e
+      in
       let phase_cycles request =
         Result.map
-          (fun (o : Machine.outcome) ->
+          (fun () ->
+            let phases = (Machine.stats m).Machine.phases in
             List.map
               (fun p ->
-                ( Machine.phase_name p,
-                  Machine.phase_cycles_get p o.Machine.stats.Machine.phases ))
+                (Machine.phase_name p, Machine.phase_cycles_get p phases))
               Machine.all_phases)
-          (run_outcome request)
+          (exec request)
       in
       Ok
         {

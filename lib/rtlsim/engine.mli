@@ -1,10 +1,16 @@
 (** [Qos_core.Engine] adapter over the cycle-accurate {!Machine}.
 
-    The case base is compiled to its CB-MEM image once at {!create};
-    each retrieval only encodes the request and runs the FSM, so the
-    cycle counts are identical to [Machine.retrieve] (the image is the
-    same) while the design-time tree encoding is amortised — the
-    run-time usage pattern the paper assumes.
+    The case base is compiled into a CB-MEM RAM once at {!create}, and
+    the engine keeps one machine state over it and over a Req-MEM of
+    its own.  Each retrieval writes the request into that Req-MEM
+    ({!Memlayout.write_request}) and runs the FSM from reset: the same
+    words as [Machine.retrieve] builds, so the same decision, cycles
+    and phase split, while the design-time tree encoding is amortised —
+    the run-time usage pattern the paper assumes.  Untraced, a
+    retrieval allocates only its decision and the Q15 weight
+    conversions (about 15 words).  Because the state is reused, an
+    engine instance must be driven from one domain at a time (see
+    [Qos_core.Engine]).
 
     This module is also the only sanctioned doorway to the machine for
     consumers outside [lib/rtlsim]: the trace/waveform and raw-image

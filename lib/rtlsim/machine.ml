@@ -103,12 +103,19 @@ let pp_phases ppf c =
 
 exception Halt of error
 
-type machine = {
+(* What the implementation walk keeps: the best-score/ID register pair
+   of Fig. 7, or the k-deep ranked register file of the Sec. 5
+   extension. *)
+type select = Best | Ranked of int
+
+type state = {
   cb : Ram.t;
   req : Ram.t;
+  tree_base : int;
   supplemental_base : int;
   config : config;
-  trace_on : bool;
+  mutable trace_on : bool;
+  mutable waveform_on : bool;
   mutable cycles : int;
   mutable mult_ops : int;
   mutable alu_ops : int;
@@ -119,7 +126,6 @@ type machine = {
   mutable cb_attr_pos : int;
   mutable rev_trace : string list;
   mutable trace_len : int;
-  waveform_on : bool;
   mutable rev_samples : Vcd.change list;
   (* Cycle attribution: which FSM region the next memory access belongs
      to, and the per-phase cycle counters.  Every [tick] is charged to
@@ -129,7 +135,68 @@ type machine = {
   mutable ph_attr_scan : int;
   mutable ph_mac : int;
   mutable ph_mem_stall : int;
+  (* The best register pair; [best_raw] is -1 before the first
+     implementation, below every Q15 score. *)
+  mutable best_id : int;
+  mutable best_raw : int;
+  mutable ranked : (int * Q.t) list;
 }
+
+let load ?(config = paper_config) ?(tree_base = 0) ~cb ~req ~supplemental_base
+    () =
+  {
+    cb;
+    req;
+    tree_base;
+    supplemental_base;
+    config;
+    trace_on = false;
+    waveform_on = false;
+    cycles = 0;
+    mult_ops = 0;
+    alu_ops = 0;
+    impls_visited = 0;
+    attrs_matched = 0;
+    attrs_missing = 0;
+    supp_pos = supplemental_base;
+    cb_attr_pos = 0;
+    rev_trace = [];
+    trace_len = 0;
+    rev_samples = [];
+    cur_phase = Tree_walk;
+    ph_tree_walk = 0;
+    ph_attr_scan = 0;
+    ph_mac = 0;
+    ph_mem_stall = 0;
+    best_id = 0;
+    best_raw = -1;
+    ranked = [];
+  }
+
+(* Everything a run reads before it writes; the scan pointers are set
+   per implementation by [eval_impl]. *)
+let reset m ~trace ~waveform =
+  Ram.reset_access_count m.cb;
+  Ram.reset_access_count m.req;
+  m.trace_on <- trace;
+  m.waveform_on <- waveform;
+  m.cycles <- 0;
+  m.mult_ops <- 0;
+  m.alu_ops <- 0;
+  m.impls_visited <- 0;
+  m.attrs_matched <- 0;
+  m.attrs_missing <- 0;
+  m.rev_trace <- [];
+  m.trace_len <- 0;
+  m.rev_samples <- [];
+  m.cur_phase <- Tree_walk;
+  m.ph_tree_walk <- 0;
+  m.ph_attr_scan <- 0;
+  m.ph_mac <- 0;
+  m.ph_mem_stall <- 0;
+  m.best_id <- 0;
+  m.best_raw <- -1;
+  m.ranked <- []
 
 let sample m signal value =
   if m.waveform_on then
@@ -137,6 +204,10 @@ let sample m signal value =
       { Vcd.at_cycle = m.cycles; signal; value } :: m.rev_samples
 
 let end_marker = Memlayout.end_marker
+
+(* The "not found" result of the list scans: no RAM word or bound
+   difference can take this value. *)
+let no_hit = min_int
 
 let tick m n =
   m.cycles <- m.cycles + n;
@@ -161,16 +232,17 @@ let snapshot_phases m =
     mem_stall = m.ph_mem_stall;
   }
 
+(* Callers test [m.trace_on] first, so an untraced run formats
+   nothing. *)
 let emit_trace m fmt =
   Printf.ksprintf
     (fun s ->
-      if m.trace_on then
-        if m.trace_len < trace_limit then (
-          m.rev_trace <- Printf.sprintf "[%06d] %s" m.cycles s :: m.rev_trace;
-          m.trace_len <- m.trace_len + 1)
-        else if m.trace_len = trace_limit then (
-          m.rev_trace <- "... trace truncated ..." :: m.rev_trace;
-          m.trace_len <- m.trace_len + 1))
+      if m.trace_len < trace_limit then (
+        m.rev_trace <- Printf.sprintf "[%06d] %s" m.cycles s :: m.rev_trace;
+        m.trace_len <- m.trace_len + 1)
+      else if m.trace_len = trace_limit then (
+        m.rev_trace <- "... trace truncated ..." :: m.rev_trace;
+        m.trace_len <- m.trace_len + 1))
     fmt
 
 (* One word from a memory port: one access.  Asynchronous (distributed
@@ -185,22 +257,14 @@ let read m mem addr =
   try Ram.read mem addr
   with Invalid_argument msg -> raise (Halt (Malformed_image msg))
 
-(* Two adjacent words.  The compacted port (Sec. 5) delivers the pair in
-   one access; the word-serial port needs two.  At the very end of the
-   image the second word may not exist; it is then returned as the end
-   marker without an access. *)
-let read_pair m mem addr =
-  let first = read m mem addr in
-  let second =
-    if addr + 1 >= Ram.size mem then end_marker
-    else if m.config.compacted then Ram.peek mem (addr + 1)
-    else read m mem (addr + 1)
-  in
-  (first, second)
-
-(* In compacted mode the second word of a pair is free, so reading only
-   the leading ID of a block costs the same as reading the pair. *)
-let read_id_only m mem addr = read m mem addr
+(* The second word of a pair read at [addr].  The compacted port
+   (Sec. 5) delivers the pair in one access; the word-serial port needs
+   two.  At the very end of the image the second word may not exist;
+   it is then returned as the end marker without an access. *)
+let read_second m mem addr =
+  if addr + 1 >= Ram.size mem then end_marker
+  else if m.config.compacted then Ram.peek mem (addr + 1)
+  else read m mem (addr + 1)
 
 (* In the pipelined variant the datapath operations execute in the
    shadow of the memory fetches (the FSM issues the next read while the
@@ -217,236 +281,138 @@ let mult m =
 
 (* Scan the level-0 type list for [rtype]; deliver the level-1 base. *)
 let rec scan_type_list m addr rtype =
-  let id, ptr = read_pair m m.cb addr in
+  let id = read m m.cb addr in
+  let ptr = read_second m m.cb addr in
   if id = end_marker then raise (Halt (Type_not_found rtype))
   else if id = rtype then (
-    emit_trace m "type-list: matched type %d -> impl list @%d" rtype ptr;
+    if m.trace_on then
+      emit_trace m "type-list: matched type %d -> impl list @%d" rtype ptr;
     ptr)
   else (
-    emit_trace m "type-list: skip type %d @%d" id addr;
+    if m.trace_on then emit_trace m "type-list: skip type %d @%d" id addr;
     scan_type_list m (addr + 2) rtype)
 
-(* Find [aid] in the supplemental list (blocks of 4, ID-sorted).
-   Returns the raw reciprocal word, or the (lower, upper) bounds in
-   divider mode.  Advances the resume pointer per Sec. 4.1. *)
-type supp_hit = Recip of int | Bounds of int * int | Supp_missing
+(* Find [aid] in the supplemental list (blocks of 4, ID-sorted) from
+   [pos].  Returns the raw reciprocal word, or in divider mode the
+   bound difference plus one, or [no_hit].  Advances the resume
+   pointer per Sec. 4.1.  In compacted mode the second word of a pair
+   is free, so reading only the leading ID costs the same as reading
+   the pair. *)
+let rec scan_supplemental m aid pos =
+  let id = read m m.cb pos in
+  if id = end_marker || id > aid then (
+    m.supp_pos <- pos;
+    no_hit)
+  else if id < aid then scan_supplemental m aid (pos + 4)
+  else (
+    (* Matched: the next request attribute is strictly larger, so the
+       resume pointer moves past this block. *)
+    m.supp_pos <- pos + 4;
+    if m.config.use_divider then
+      let lower = read m m.cb (pos + 1) in
+      let upper = read_second m m.cb (pos + 1) in
+      upper - lower + 1
+    else read m m.cb (pos + 3))
 
-let scan_supplemental m aid =
-  let start = if m.config.resume_scan then m.supp_pos else m.supplemental_base in
-  let rec loop pos =
-    let id = read_id_only m m.cb pos in
-    if id = end_marker || id > aid then (
-      m.supp_pos <- pos;
-      Supp_missing)
-    else if id < aid then loop (pos + 4)
-    else (
-      (* Matched: the next request attribute is strictly larger, so the
-         resume pointer moves past this block. *)
-      m.supp_pos <- pos + 4;
-      if m.config.use_divider then begin
-        let lower, upper = read_pair m m.cb (pos + 1) in
-        Bounds (lower, upper)
-      end
-      else
-        let recip = read m m.cb (pos + 3) in
-        Recip recip)
-  in
-  loop start
-
-(* Find [aid] in the implementation's attribute list (pairs, ID-sorted). *)
-let scan_impl_attrs m aid =
-  let rec loop pos =
-    let id = read_id_only m m.cb pos in
-    if id = end_marker || id > aid then (
-      m.cb_attr_pos <- pos;
-      None)
-    else if id < aid then loop (pos + 2)
-    else begin
-      m.cb_attr_pos <- pos + 2;
-      let value =
-        if m.config.compacted then Ram.peek m.cb (pos + 1)
-        else read m m.cb (pos + 1)
-      in
-      Some value
-    end
-  in
-  loop m.cb_attr_pos
+(* Find [aid] in the implementation's attribute list (pairs, ID-sorted)
+   from [pos]: its value, or [no_hit]. *)
+let rec scan_impl_attrs m aid pos =
+  let id = read m m.cb pos in
+  if id = end_marker || id > aid then (
+    m.cb_attr_pos <- pos;
+    no_hit)
+  else if id < aid then scan_impl_attrs m aid (pos + 2)
+  else begin
+    m.cb_attr_pos <- pos + 2;
+    if m.config.compacted then Ram.peek m.cb (pos + 1)
+    else read m m.cb (pos + 1)
+  end
 
 (* --- Local similarity datapath ------------------------------------------ *)
 
 let local_similarity m rvalue supp cbvalue =
-  match (supp, cbvalue) with
-  | Supp_missing, _ | _, None ->
-      m.attrs_missing <- m.attrs_missing + 1;
-      alu m 1;
-      (* the Si := 0 transition of Fig. 6 *)
-      Q.zero
-  | Recip recip, Some cv ->
-      m.attrs_matched <- m.attrs_matched + 1;
-      alu m 1;
-      (* ABS difference *)
-      let d = Q.abs_diff_int rvalue cv in
-      mult m;
-      (* d * (1+dmax)^-1 *)
-      alu m 1;
-      (* 1 - x *)
-      Q.complement_to_one (Q.mul_int (Q.of_raw_exn recip) d)
-  | Bounds (lower, upper), Some cv ->
-      m.attrs_matched <- m.attrs_matched + 1;
-      alu m 1;
-      let d = Q.abs_diff_int rvalue cv in
-      let dm1 = upper - lower + 1 in
-      if dm1 <= 0 then raise (Halt (Malformed_image "supplemental bounds inverted"));
-      charge m Mac divider_cycles;
-      alu m 1;
-      let raw = ((d lsl 15) + (dm1 / 2)) / dm1 in
-      let raw = if raw > Q.to_raw Q.max_value then Q.to_raw Q.max_value else raw in
-      Q.complement_to_one (Q.of_raw_exn raw)
+  if supp = no_hit || cbvalue = no_hit then (
+    m.attrs_missing <- m.attrs_missing + 1;
+    alu m 1;
+    (* the Si := 0 transition of Fig. 6 *)
+    Q.zero)
+  else if m.config.use_divider then (
+    m.attrs_matched <- m.attrs_matched + 1;
+    alu m 1;
+    let d = Q.abs_diff_int rvalue cbvalue in
+    let dm1 = supp in
+    if dm1 <= 0 then raise (Halt (Malformed_image "supplemental bounds inverted"));
+    charge m Mac divider_cycles;
+    alu m 1;
+    let raw = ((d lsl 15) + (dm1 / 2)) / dm1 in
+    let raw = if raw > Q.to_raw Q.max_value then Q.to_raw Q.max_value else raw in
+    Q.complement_to_one (Q.of_raw_exn raw))
+  else (
+    m.attrs_matched <- m.attrs_matched + 1;
+    alu m 1;
+    (* ABS difference *)
+    let d = Q.abs_diff_int rvalue cbvalue in
+    mult m;
+    (* d * (1+dmax)^-1 *)
+    alu m 1;
+    (* 1 - x *)
+    Q.complement_to_one (Q.mul_int (Q.of_raw_exn supp) d))
 
 (* --- One implementation ------------------------------------------------- *)
+
+(* Accumulate the weighted local similarities of the request attributes
+   from [req_pos] on. *)
+let rec eval_attrs m req_pos acc =
+  let aid = read m m.req req_pos in
+  if aid = end_marker then acc
+  else begin
+    (* In compacted mode (value, weight) arrive as the second/third
+       word: the pair port fetches (aid, value) together, weight
+       separately. *)
+    let rvalue =
+      if m.config.compacted then Ram.peek m.req (req_pos + 1)
+      else read m m.req (req_pos + 1)
+    in
+    let weight_raw = read m m.req (req_pos + 2) in
+    if m.trace_on then
+      emit_trace m "req-attr: id=%d value=%d w=%d" aid rvalue weight_raw;
+    let supp =
+      scan_supplemental m aid
+        (if m.config.resume_scan then m.supp_pos else m.supplemental_base)
+    in
+    let cbvalue = scan_impl_attrs m aid m.cb_attr_pos in
+    let local = local_similarity m rvalue supp cbvalue in
+    mult m;
+    (* Si * wi *)
+    alu m 1;
+    (* S := S + Si*wi *)
+    let acc = Q.add acc (Q.mul local (Q.of_raw_exn weight_raw)) in
+    sample m "local_s" (Q.to_raw local);
+    sample m "acc" (Q.to_raw acc);
+    if m.trace_on then
+      emit_trace m "local: s=%d acc=%d" (Q.to_raw local) (Q.to_raw acc);
+    eval_attrs m (req_pos + 3) acc
+  end
 
 let eval_impl m attr_base =
   m.cur_phase <- Attr_scan;
   m.cb_attr_pos <- attr_base;
   m.supp_pos <- m.supplemental_base;
-  let rec loop req_pos acc =
-    let aid = read m m.req req_pos in
-    if aid = end_marker then acc
-    else begin
-      let rvalue, weight_raw =
-        if m.config.compacted then begin
-          (* (value, weight) arrive as the second/third word: the pair
-             port fetches (aid, value) together, weight separately. *)
-          let value = Ram.peek m.req (req_pos + 1) in
-          let w = read m m.req (req_pos + 2) in
-          (value, w)
-        end
-        else
-          let value = read m m.req (req_pos + 1) in
-          let w = read m m.req (req_pos + 2) in
-          (value, w)
-      in
-      emit_trace m "req-attr: id=%d value=%d w=%d" aid rvalue weight_raw;
-      let supp = scan_supplemental m aid in
-      let cbvalue = scan_impl_attrs m aid in
-      let local = local_similarity m rvalue supp cbvalue in
-      mult m;
-      (* Si * wi *)
-      alu m 1;
-      (* S := S + Si*wi *)
-      let weight = Q.of_raw_exn weight_raw in
-      let acc = Q.add acc (Q.mul local weight) in
-      sample m "local_s" (Q.to_raw local);
-      sample m "acc" (Q.to_raw acc);
-      emit_trace m "local: s=%d acc=%d" (Q.to_raw local) (Q.to_raw acc);
-      loop (req_pos + 3) acc
-    end
-  in
-  loop 1 Q.zero
+  eval_attrs m 1 Q.zero
 
-(* --- Top level ----------------------------------------------------------- *)
+(* --- Keeping the result ------------------------------------------------- *)
 
-let run ?(config = paper_config) ?(trace = false) ?(waveform = false)
-    (image : Memlayout.system_image) =
-  let m =
-    {
-      cb = Ram.of_array image.cb_mem;
-      req = Ram.of_array image.req_mem;
-      supplemental_base = image.supplemental_base;
-      config;
-      trace_on = trace;
-      cycles = 0;
-      mult_ops = 0;
-      alu_ops = 0;
-      impls_visited = 0;
-      attrs_matched = 0;
-      attrs_missing = 0;
-      supp_pos = image.supplemental_base;
-      cb_attr_pos = 0;
-      rev_trace = [];
-      trace_len = 0;
-      waveform_on = waveform;
-      rev_samples = [];
-      cur_phase = Tree_walk;
-      ph_tree_walk = 0;
-      ph_attr_scan = 0;
-      ph_mac = 0;
-      ph_mem_stall = 0;
-    }
-  in
-  match
-    let rtype = read m m.req 0 in
-    let l1_base = scan_type_list m image.tree_base rtype in
-    let rec impl_loop pos best =
-      m.cur_phase <- Tree_walk;
-      let impl_id, attr_ptr = read_pair m m.cb pos in
-      if impl_id = end_marker then best
-      else begin
-        m.impls_visited <- m.impls_visited + 1;
-        let score = eval_impl m attr_ptr in
-        alu m 1;
-        (* S > Smax comparison *)
-        let best =
-          match best with
-          | Some (_, best_score) when Q.compare score best_score <= 0 -> best
-          | Some _ | None ->
-              sample m "best_id" impl_id;
-              sample m "best_score" (Q.to_raw score);
-              emit_trace m "new best: impl %d score %d" impl_id (Q.to_raw score);
-              Some (impl_id, score)
-        in
-        impl_loop (pos + 2) best
-      end
-    in
-    match impl_loop l1_base None with
-    | None -> raise (Halt (No_implementations rtype))
-    | Some (best_impl_id, best_score) ->
-        {
-          best_impl_id;
-          best_score;
-          stats =
-            {
-              cycles = m.cycles;
-              cb_accesses = Ram.access_count m.cb;
-              req_accesses = Ram.access_count m.req;
-              mult_ops = m.mult_ops;
-              alu_ops = m.alu_ops;
-              impls_visited = m.impls_visited;
-              attrs_matched = m.attrs_matched;
-              attrs_missing = m.attrs_missing;
-              phases = snapshot_phases m;
-            };
-          trace = List.rev m.rev_trace;
-          waveform = List.rev m.rev_samples;
-        }
-  with
-  | outcome -> Ok outcome
-  | exception Halt e -> Error e
-
-let retrieve ?config ?trace ?waveform casebase request =
-  match Memlayout.build_system casebase request with
-  | Error m -> Error (Malformed_image m)
-  | Ok image -> run ?config ?trace ?waveform image
-
-let retrieve_stream ?config casebase requests =
-  match Memlayout.encode_cb casebase with
-  | Error m -> Error m
-  | Ok cb_image ->
-      Ok
-        (List.map
-           (fun request ->
-             match Memlayout.attach_request cb_image request with
-             | Error m -> Error (Malformed_image m)
-             | Ok image -> run ?config image)
-           requests)
-
-(* --- N-most-similar retrieval (Sec. 5 extension) ------------------------- *)
-
-type nbest_outcome = {
-  ranked : (int * Fxp.Q15.t) list;
-  nbest_stats : stats;
-  nbest_trace : string list;
-}
+let keep_best m impl_id score =
+  alu m 1;
+  (* S > Smax comparison *)
+  if Q.to_raw score > m.best_raw then begin
+    sample m "best_id" impl_id;
+    sample m "best_score" (Q.to_raw score);
+    if m.trace_on then
+      emit_trace m "new best: impl %d score %d" impl_id (Q.to_raw score);
+    m.best_id <- impl_id;
+    m.best_raw <- Q.to_raw score
+  end
 
 (* Insert into the descending-sorted register file.  Entries with equal
    scores keep case-base order (the new candidate lands behind them),
@@ -468,72 +434,109 @@ let insert_ranked m k kept impl_id score =
   if List.length inserted > k then List.filteri (fun i _ -> i < k) inserted
   else inserted
 
-let run_nbest ?(config = paper_config) ?(trace = false) ~k
-    (image : Memlayout.system_image) =
+let rec walk_impls m select pos =
+  m.cur_phase <- Tree_walk;
+  let impl_id = read m m.cb pos in
+  let attr_ptr = read_second m m.cb pos in
+  if impl_id <> end_marker then begin
+    m.impls_visited <- m.impls_visited + 1;
+    let score = eval_impl m attr_ptr in
+    (match select with
+    | Best -> keep_best m impl_id score
+    | Ranked k -> m.ranked <- insert_ranked m k m.ranked impl_id score);
+    walk_impls m select (pos + 2)
+  end
+
+(* --- Top level ----------------------------------------------------------- *)
+
+let exec_select select ~trace ~waveform m =
+  reset m ~trace ~waveform;
+  match
+    let rtype = read m m.req 0 in
+    walk_impls m select (scan_type_list m m.tree_base rtype);
+    if m.impls_visited = 0 then raise (Halt (No_implementations rtype))
+  with
+  | () -> Ok ()
+  | exception Halt e -> Error e
+
+let exec ?(trace = false) ?(waveform = false) m =
+  exec_select Best ~trace ~waveform m
+
+let best_impl_id m = m.best_id
+let best_score m = Q.of_raw_exn m.best_raw
+let cycles m = m.cycles
+
+let stats m =
+  {
+    cycles = m.cycles;
+    cb_accesses = Ram.access_count m.cb;
+    req_accesses = Ram.access_count m.req;
+    mult_ops = m.mult_ops;
+    alu_ops = m.alu_ops;
+    impls_visited = m.impls_visited;
+    attrs_matched = m.attrs_matched;
+    attrs_missing = m.attrs_missing;
+    phases = snapshot_phases m;
+  }
+
+let outcome m =
+  {
+    best_impl_id = m.best_id;
+    best_score = best_score m;
+    stats = stats m;
+    trace = List.rev m.rev_trace;
+    waveform = List.rev m.rev_samples;
+  }
+
+(* Caller-owned images are copied into RAMs of their own. *)
+let of_image ?config (image : Memlayout.system_image) =
+  load ?config ~tree_base:image.tree_base ~cb:(Ram.of_array image.cb_mem)
+    ~req:(Ram.of_array image.req_mem)
+    ~supplemental_base:image.supplemental_base ()
+
+let run ?config ?trace ?waveform image =
+  let m = of_image ?config image in
+  Result.map (fun () -> outcome m) (exec ?trace ?waveform m)
+
+let retrieve ?config ?trace ?waveform casebase request =
+  match Memlayout.build_system casebase request with
+  | Error m -> Error (Malformed_image m)
+  | Ok image -> run ?config ?trace ?waveform image
+
+let retrieve_stream ?config casebase requests =
+  match Memlayout.load_cb casebase with
+  | Error m -> Error m
+  | Ok (cb, supplemental_base) ->
+      let req = Ram.blank () in
+      let m = load ?config ~cb ~req ~supplemental_base () in
+      Ok
+        (List.map
+           (fun request ->
+             match Memlayout.write_request req request with
+             | Error msg -> Error (Malformed_image msg)
+             | Ok () -> Result.map (fun () -> outcome m) (exec m))
+           requests)
+
+(* --- N-most-similar retrieval (Sec. 5 extension) ------------------------- *)
+
+type nbest_outcome = {
+  ranked : (int * Fxp.Q15.t) list;
+  nbest_stats : stats;
+  nbest_trace : string list;
+}
+
+let run_nbest ?config ?(trace = false) ~k image =
   if k < 1 then invalid_arg "Machine.run_nbest: k must be at least 1"
   else
-    let m =
-      {
-        cb = Ram.of_array image.cb_mem;
-        req = Ram.of_array image.req_mem;
-        supplemental_base = image.supplemental_base;
-        config;
-        trace_on = trace;
-        cycles = 0;
-        mult_ops = 0;
-        alu_ops = 0;
-        impls_visited = 0;
-        attrs_matched = 0;
-        attrs_missing = 0;
-        supp_pos = image.supplemental_base;
-        cb_attr_pos = 0;
-        rev_trace = [];
-        trace_len = 0;
-        waveform_on = false;
-        rev_samples = [];
-        cur_phase = Tree_walk;
-        ph_tree_walk = 0;
-        ph_attr_scan = 0;
-        ph_mac = 0;
-        ph_mem_stall = 0;
-      }
-    in
-    match
-      let rtype = read m m.req 0 in
-      let l1_base = scan_type_list m image.tree_base rtype in
-      let rec impl_loop pos kept =
-        m.cur_phase <- Tree_walk;
-        let impl_id, attr_ptr = read_pair m m.cb pos in
-        if impl_id = end_marker then kept
-        else begin
-          m.impls_visited <- m.impls_visited + 1;
-          let score = eval_impl m attr_ptr in
-          let kept = insert_ranked m k kept impl_id score in
-          impl_loop (pos + 2) kept
-        end
-      in
-      match impl_loop l1_base [] with
-      | [] -> raise (Halt (No_implementations rtype))
-      | ranked ->
-          {
-            ranked;
-            nbest_stats =
-              {
-                cycles = m.cycles;
-                cb_accesses = Ram.access_count m.cb;
-                req_accesses = Ram.access_count m.req;
-                mult_ops = m.mult_ops;
-                alu_ops = m.alu_ops;
-                impls_visited = m.impls_visited;
-                attrs_matched = m.attrs_matched;
-                attrs_missing = m.attrs_missing;
-                phases = snapshot_phases m;
-              };
-            nbest_trace = List.rev m.rev_trace;
-          }
-    with
-    | outcome -> Ok outcome
-    | exception Halt e -> Error e
+    let m = of_image ?config image in
+    Result.map
+      (fun () ->
+        {
+          ranked = m.ranked;
+          nbest_stats = stats m;
+          nbest_trace = List.rev m.rev_trace;
+        })
+      (exec_select (Ranked k) ~trace ~waveform:false m)
 
 let retrieve_nbest ?config ?trace ~k casebase request =
   match Memlayout.build_system casebase request with

@@ -138,6 +138,42 @@ val retrieve_stream :
     Req-MEM changes per call).  Fails only when the case base itself
     cannot be compiled. *)
 
+(** {2 Machines over loaded RAMs}
+
+    The run-time path: one machine state over a CB-MEM and a Req-MEM,
+    reused from retrieval to retrieval.  [Rtlsim.Engine] loads one per
+    engine instance; {!run}, {!run_nbest} and {!retrieve_stream} share
+    {!load} and the reset and run of {!exec}.  A state is mutable scratch:
+    drive it from one domain at a time. *)
+
+type state
+
+val load :
+  ?config:config ->
+  ?tree_base:int ->
+  cb:Memlayout.Ram.t ->
+  req:Memlayout.Ram.t ->
+  supplemental_base:int ->
+  unit ->
+  state
+(** A machine over the two RAMs.  It reads them in place, never copies
+    them, so a caller can rewrite [req] (with
+    {!Memlayout.write_request}) between runs.  [tree_base] defaults
+    to 0. *)
+
+val exec : ?trace:bool -> ?waveform:bool -> state -> (unit, error) result
+(** One retrieval over the loaded RAMs, from reset: every counter, the
+    best register pair, the trace, the waveform and both RAMs' access
+    counts start at zero.  Untraced and without a waveform, a
+    successful run allocates nothing. *)
+
+val best_impl_id : state -> int
+val best_score : state -> Fxp.Q15.t
+val cycles : state -> int
+
+val stats : state -> stats
+(** Statistics of the last {!exec}. *)
+
 (** N-most-similar retrieval — the extension the paper announces in
     Sec. 5 ("an extension for getting n most similar solutions from
     retrieval which offers the possibility for checking out the

@@ -62,6 +62,65 @@ let test_trace () =
   check_int "trace exit" 0 code;
   check_bool "winner traced" true (contains out "new best: impl 2")
 
+(* The cycle trace, the VCD waveform and the profile, pinned byte for
+   byte over the paper request and one that skips a type and misses
+   attributes (attribute 9 is in no schema).  The digests were recorded
+   before the machine formatted trace lines only when tracing.  The
+   VCD path in stdout is replaced by FILE. *)
+let test_trace_outputs_pinned () =
+  let odd = Filename.concat tmp_dir "odd.req" in
+  Out_channel.with_open_text odd (fun oc ->
+      Out_channel.output_string oc
+        "request 2\n  want 2 1 2\n  want 3 1 1\n  want 4 30 1\n  want 9 5 1\n");
+  let vcd = Filename.concat tmp_dir "pinned.vcd" in
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let rec replace_all s sub by =
+    let n = String.length s and m = String.length sub in
+    let rec find i =
+      if i + m > n then None
+      else if String.sub s i m = sub then Some i
+      else find (i + 1)
+    in
+    match find 0 with
+    | None -> s
+    | Some i ->
+        String.sub s 0 i ^ by
+        ^ replace_all (String.sub s (i + m) (n - i - m)) sub by
+  in
+  List.iter
+    (fun (args, out_digest, vcd_digest) ->
+      if Sys.file_exists vcd then Sys.remove vcd;
+      let args = replace_all (replace_all args "ODD" odd) "FILE" vcd in
+      let code, out = run_cli args in
+      check_int (args ^ " exit") 0 code;
+      Alcotest.(check string)
+        (args ^ " stdout") out_digest
+        (md5 (replace_all out vcd "FILE"));
+      Option.iter
+        (fun want ->
+          Alcotest.(check string)
+            (args ^ " vcd") want
+            (Digest.to_hex (Digest.file vcd)))
+        vcd_digest)
+    [
+      ("trace", "bbffba02950153a07043edd9b0fde2b2", None);
+      ( "trace --vcd FILE",
+        "3672b5a99cd899f4dd26a28f12e0b96e",
+        Some "522e956c021d1fcba77c3d7e7e54ecc9" );
+      ( "trace --compacted --divider --restart-scan --vcd FILE",
+        "8ddd7f01ae77d0e37d3f338483467a28",
+        Some "79a9f66b438931cde19dc91a8d78024e" );
+      ("trace -r ODD", "6a9708bcabc887af22807ee62b31f102", None);
+      ("trace -r ODD --restart-scan", "9ab631e057b86cdd712d02a5ac55b246", None);
+      ( "trace -r ODD --compacted --divider --vcd FILE",
+        "180a8658a3517fa63828449fb2a987b7",
+        Some "fc2c34db9b5a95b151febdad962cc5ee" );
+      ("profile", "b4e369c8762fd922564c1f4f1441a9d6", None);
+      ("profile --format json", "2304899c8a316e4cdaf35a2ead00fe59", None);
+      ("profile --compacted --divider", "2ca2cbb2e6cb294ce54cc2588b172a19", None);
+      ("profile -r ODD --format json", "a0a1b24bd1fb444a43304f8a74f0274b", None);
+    ]
+
 let test_export_verify_roundtrip () =
   let dir = Filename.concat tmp_dir "export" in
   let code, _ = run_cli (Printf.sprintf "export -o %s -f hex -f coe" dir) in
@@ -518,6 +577,8 @@ let () =
           Alcotest.test_case "layout and resources" `Quick
             test_layout_and_resources;
           Alcotest.test_case "trace" `Quick test_trace;
+          Alcotest.test_case "trace outputs pinned" `Quick
+            test_trace_outputs_pinned;
           Alcotest.test_case "simulate and analyze" `Quick
             test_simulate_and_analyze;
           Alcotest.test_case "faults clean exit 0" `Quick

@@ -338,6 +338,51 @@ let test_serve_alloc_budget () =
   if per_req > 160.0 then
     Alcotest.failf "%.1f minor words per request, budget 160" per_req
 
+(* The paper's manager over cycle-true retrieval, as alloc-sim runs it.
+   The rtlsim engine writes each request into a Req-MEM it owns and runs
+   one reused machine over it, so a retrieval allocates only its
+   decision and the boxed Q15 weight conversions (~15 words measured;
+   it was ~2 300 when every call re-encoded and copied the images and
+   formatted every trace line).  The simulate budget covers the whole
+   run over the default spec: 708 words per request measured, ~1 950
+   before. *)
+let test_rtlsim_retrieve_budget () =
+  let calls = ref 0 and words = ref 0.0 in
+  let counted cb =
+    Result.map
+      (fun (e : Engine.t) ->
+        let retrieve r =
+          let w0 = Gc.minor_words () in
+          let d = e.Engine.retrieve r in
+          words := !words +. (Gc.minor_words () -. w0);
+          incr calls;
+          d
+        in
+        { e with Engine.retrieve })
+      (Rtlsim.Engine.factory cb)
+  in
+  let spec =
+    {
+      (Desim.Simulate.default_spec ()) with
+      Desim.Simulate.retrieval_engine = Some counted;
+    }
+  in
+  ignore (Desim.Simulate.run spec);
+  check_bool "retrievals ran" true (!calls > 50);
+  let per_call = !words /. float_of_int !calls in
+  if per_call > 100.0 then
+    Alcotest.failf "%.1f minor words per retrieve, budget 100" per_call
+
+let test_simulate_alloc_budget () =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let r = Desim.Simulate.run (Desim.Simulate.default_spec ()) in
+  let n = r.Desim.Simulate.totals.Desim.Simulate.requests in
+  let per_req = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool "requests ran" true (n > 100);
+  if per_req > 800.0 then
+    Alcotest.failf "%.1f minor words per request, budget 800" per_req
+
 (* The flight-recorder exports and the report of the CLI's pinned chaos
    run (test_cli), in minor words per request.  The writers put every
    byte straight into one buffer; the per-event Printf formatters they
@@ -959,6 +1004,13 @@ let () =
         ] );
       ( "substrate",
         [ Alcotest.test_case "placement" `Quick test_substrate_placement ] );
+      ( "alloc-sim",
+        [
+          Alcotest.test_case "rtlsim retrieve budget" `Quick
+            test_rtlsim_retrieve_budget;
+          Alcotest.test_case "simulate budget" `Quick
+            test_simulate_alloc_budget;
+        ] );
       ( "serve",
         [
           Alcotest.test_case "clean run" `Quick test_serve_clean;

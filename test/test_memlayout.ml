@@ -233,8 +233,38 @@ let generated seed =
       attrs_per_impl = (0, 6);
     }
 
+(* [load_cb] builds its RAM over the encoder's array without the range
+   scan of [Ram.of_array], so every emitted word must be in range by
+   construction: values up to the largest storable word, reciprocals,
+   pointers and end markers. *)
+let wide seed =
+  let rng = Workload.Prng.create ~seed in
+  let schema =
+    Workload.Generator.schema rng
+      { Workload.Generator.attr_count = 8; max_bound = Memlayout.max_value_word }
+  in
+  Workload.Generator.casebase rng ~schema
+    {
+      Workload.Generator.type_count = 6;
+      impls_per_type = (0, 8);
+      attrs_per_impl = (0, 8);
+    }
+
 let props =
   [
+    prop "encode_cb emits only 16-bit words" (QCheck2.Gen.int_range 0 50_000)
+      (fun seed ->
+        List.for_all
+          (fun cb ->
+            match (Memlayout.encode_cb cb, Memlayout.load_cb cb) with
+            | Ok image, Ok (ram, supplemental_base) ->
+                Array.for_all
+                  (fun w -> w >= 0 && w <= 0xFFFF)
+                  image.Memlayout.cb_words
+                && Memlayout.Ram.to_array ram = image.Memlayout.cb_words
+                && supplemental_base = image.Memlayout.cb_supplemental_base
+            | _ -> false)
+          [ generated seed; wide seed ]);
     prop "tree round-trips on generated case bases"
       (QCheck2.Gen.int_range 0 50_000)
       (fun seed ->

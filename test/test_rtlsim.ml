@@ -447,6 +447,140 @@ let props =
         | _ -> false);
   ]
 
+(* --- One engine, many requests ----------------------------------------------- *)
+
+(* A case base (plus, on odd seeds, a type with no implementations) and
+   a request sequence for it: long requests then short ones, requests
+   without constraints, unknown types, and requests [Request.make]
+   accepts but the image cannot hold (an id or value of 0xFFFF). *)
+let sequence_of_seed seed =
+  let rng = Workload.Prng.create ~seed in
+  let schema =
+    Workload.Generator.schema rng
+      { Workload.Generator.attr_count = 6; max_bound = 200 }
+  in
+  let cb =
+    Workload.Generator.casebase rng ~schema
+      {
+        Workload.Generator.type_count = 3;
+        impls_per_type = (1, 6);
+        attrs_per_impl = (1, 6);
+      }
+  in
+  let cb =
+    if seed mod 2 = 0 then cb
+    else
+      get
+        (Casebase.make ~name:"with-empty" ~schema
+           (cb.Casebase.ftypes @ [ get (Ftype.make ~id:9 ~name:"none" []) ]))
+  in
+  let generated lo hi =
+    Workload.Generator.request rng ~schema
+      ~type_id:(Workload.Prng.int_in rng ~lo:1 ~hi:3)
+      {
+        Workload.Generator.constraints = (lo, hi);
+        weight_profile = `Random;
+        value_slack = 0.15;
+      }
+  in
+  let one () =
+    match Workload.Prng.int rng ~bound:8 with
+    | 0 | 1 -> generated 5 6
+    | 2 | 3 -> generated 1 2
+    | 4 -> get (Request.make ~type_id:(Workload.Prng.int_in rng ~lo:1 ~hi:3) [])
+    | 5 ->
+        get
+          (Request.make
+             ~type_id:(Workload.Prng.choose rng [ 7; 9; 0xFFFF ])
+             [ (1, 5, 1.0) ])
+    | _ ->
+        let bad =
+          if Workload.Prng.bool rng then (0xFFFF, 3, 2.0) else (2, 0xFFFF, 2.0)
+        in
+        get
+          (Request.make ~type_id:1
+             (bad :: List.init (Workload.Prng.int rng ~bound:3) (fun i ->
+                  (10 + i, 4, 1.0))))
+  in
+  (cb, List.init 12 (fun _ -> one ()))
+
+let configs =
+  [|
+    M.paper_config;
+    { M.paper_config with M.compacted = true };
+    { M.paper_config with M.resume_scan = false };
+    { M.paper_config with M.use_divider = true };
+    { M.paper_config with M.registered_bram = true };
+    M.pipelined_config;
+  |]
+
+(* The engine's answer to a request as a fresh machine gives it: an
+   image that does not encode fails before the machine runs. *)
+let fresh_engine_result config cb req =
+  match Memlayout.encode_request req with
+  | Error m -> Error (Engine.Engine_failure m)
+  | Ok _ -> (
+      match M.retrieve ~config cb req with
+      | Ok o ->
+          Ok
+            ( Rtlsim.Engine.decision_of_outcome o,
+              List.map
+                (fun p ->
+                  (M.phase_name p, M.phase_cycles_get p o.M.stats.M.phases))
+                M.all_phases )
+      | Error e -> Error (Rtlsim.Engine.error_of_machine e))
+
+let reuse_props =
+  [
+    prop "one engine over a sequence equals fresh machines" seed_gen
+      (fun seed ->
+        let cb, reqs = sequence_of_seed seed in
+        let config = configs.(seed mod Array.length configs) in
+        let eng = get (Rtlsim.Engine.create ~config cb) in
+        let phases = Option.get eng.Engine.phase_cycles in
+        List.for_all
+          (fun req ->
+            let got =
+              match (eng.Engine.retrieve req, phases req) with
+              | Ok d, Ok p -> Ok (d, p)
+              | Error e, _ | _, Error e -> Error e
+            in
+            match (got, fresh_engine_result config cb req) with
+            | Ok (d, p), Ok (d', p') ->
+                d.Engine.impl_id = d'.Engine.impl_id
+                && Fxp.Q15.equal d.Engine.score d'.Engine.score
+                && d.Engine.cycles = d'.Engine.cycles
+                && p = p'
+            | Error e, Error e' -> Engine.equal_error e e'
+            | _ -> false)
+          reqs);
+    prop "stream outcomes equal fresh machines" seed_gen (fun seed ->
+        let cb, reqs = sequence_of_seed seed in
+        let config = configs.(seed mod Array.length configs) in
+        match M.retrieve_stream ~config cb reqs with
+        | Error _ -> false
+        | Ok results ->
+            List.for_all2
+              (fun streamed req -> streamed = M.retrieve ~config cb req)
+              results reqs);
+    prop "write_request is encode_request in place" seed_gen (fun seed ->
+        let _, reqs = sequence_of_seed seed in
+        let ram = Memlayout.Ram.blank () in
+        List.for_all
+          (fun req ->
+            match (Memlayout.write_request ram req, Memlayout.encode_request req) with
+            | Ok (), Ok words ->
+                let ram = Memlayout.Ram.to_array ram in
+                let n = Array.length words in
+                Array.length ram >= n
+                && Array.sub ram 0 n = words
+                && Array.for_all (( = ) Memlayout.end_marker)
+                     (Array.sub ram n (Array.length ram - n))
+            | Error m, Error m' -> String.equal m m'
+            | _ -> false)
+          reqs);
+  ]
+
 let nbest_props =
   [
     prop "hardware n-best equals the fixed engine's n-best" seed_gen
@@ -526,5 +660,5 @@ let () =
           Alcotest.test_case "insertion cost" `Quick
             test_nbest_costs_more_cycles;
         ] );
-      ("properties", props @ nbest_props);
+      ("properties", props @ nbest_props @ reuse_props);
     ]
