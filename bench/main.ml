@@ -1,8 +1,11 @@
-(* Benchmark / reproduction harness.
+(* Reproduction harness.
 
    Prints a reproduction section for every table and figure of the
-   paper (experiment IDs from DESIGN.md), then runs Bechamel
-   micro-benchmarks of the hot paths.
+   paper (experiment IDs from DESIGN.md).  Every figure is a cycle
+   count, a model output or a sim-time result under a fixed seed, so
+   the output is deterministic: `dune runtest` diffs it against
+   bench/reproduction.golden.txt.  Wall-clock costs are measured by
+   perfbench, not here.  Takes no arguments and writes no file.
 
    Sections:
      T1  Table 1  - retrieval similarity example
@@ -14,12 +17,18 @@
      S4  Sec. 5   - compacted attribute blocks (>= 2x projection)
      S5  Sec. 3   - threshold rejection and relaxation loop
      S6  Sec. 3   - bypass tokens on repeated calls
+     S7  Sec. 5   - n most similar variants from hardware
+     S8  Sec. 5   - case-base learning (retain/revise)
+     A1  extra    - column placement and fragmentation
+     A2  extra    - offered-load sweep
      B1  extra    - allocation quality vs naive baselines
      B2  extra    - Mahalanobis cost comparison (Sec. 2.2 claim)
+     B3  extra    - amalgamation choice and threshold sensitivity
      R1  extra    - fault campaigns: scrubbing on vs off under SEUs
-     NETLIST extra - IR elaboration + pass-suite cost (BENCH_netlist.json)
-     OBS extra    - observability instrumentation overhead (BENCH_obs.json)
-     OBS2 extra   - flight-recorder overhead on the serve path (BENCH_obs2.json) *)
+     PAR      extra - domain-sharded front-end, modeled cycles per shard
+     CLUSTER  extra - replicated serving under a seeded outage campaign
+     CLUSTER2 extra - work stealing + streaming arrivals
+     SCORECARD      - paper vs measured, in one table *)
 
 open Qos_core
 
@@ -276,12 +285,13 @@ let run_s1 () =
 (* S2: fixed-point vs floating-point identity                          *)
 (* ------------------------------------------------------------------ *)
 
-let run_s2 () =
-  section "S2" "Sec. 4.2: 16-bit fixed point matches floating point";
+(* The counts behind S2 and its SCORECARD row, taken once. *)
+type s2_counts = { scenarios : int; agree : int; hw_agree : int }
+
+let count_s2 () =
   let trials = 2000 in
   let agree = ref 0 in
   let hw_agree = ref 0 in
-  let applicable = ref 0 in
   for seed = 1 to trials do
     let rng = Workload.Prng.create ~seed in
     let schema =
@@ -304,7 +314,6 @@ let run_s2 () =
           value_slack = 0.15;
         }
     in
-    incr applicable;
     if Engine_fixed.agrees_with_float cb req then incr agree;
     (match (Rtlsim.Machine.retrieve cb req, Engine_fixed.best cb req) with
     | Ok o, Ok fixed
@@ -315,14 +324,19 @@ let run_s2 () =
     | Error _, Error _ -> incr hw_agree
     | _ -> ())
   done;
+  { scenarios = trials; agree = !agree; hw_agree = !hw_agree }
+
+let s2_counts = lazy (count_s2 ())
+
+let run_s2 () =
+  section "S2" "Sec. 4.2: 16-bit fixed point matches floating point";
+  let c = Lazy.force s2_counts in
+  let pct n = 100.0 *. float_of_int n /. float_of_int c.scenarios in
   Printf.printf
     "random scenarios: %d\n\
      fixed-point engine picks a float-top-group variant: %d (%.1f%%)\n\
      rtl unit bit-equals the fixed-point engine:         %d (%.1f%%)\n"
-    !applicable !agree
-    (100.0 *. float_of_int !agree /. float_of_int !applicable)
-    !hw_agree
-    (100.0 *. float_of_int !hw_agree /. float_of_int !applicable);
+    c.scenarios c.agree (pct c.agree) c.hw_agree (pct c.hw_agree);
   Printf.printf
     "paper claim: identical retrieval results between Matlab floating point\n\
      and the 16-bit VHDL implementation.\n"
@@ -926,114 +940,11 @@ let run_r1 () =
      retrievals; without it corrupted images are consumed unnoticed.\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-open Bechamel
-open Toolkit
-
-let micro_tests () =
-  let cb = Scenario_audio.casebase in
-  let request = Scenario_audio.request in
-  let big_cb = Workload.Generator.sized_casebase ~seed:61 ~types:15 ~impls:10 ~attrs:10 in
-  let big_req = Workload.Generator.sized_request ~seed:62 big_cb in
-  let image = get (Memlayout.build_system big_cb big_req) in
-  let printed = Textfmt.print_casebase big_cb in
-  [
-    Test.make ~name:"engine-float/paper" (Staged.stage (fun () ->
-        ignore (Engine_float.best cb request)));
-    Test.make ~name:"engine-fixed/paper" (Staged.stage (fun () ->
-        ignore (Engine_fixed.best cb request)));
-    Test.make ~name:"engine-float/15x10x10" (Staged.stage (fun () ->
-        ignore (Engine_float.best big_cb big_req)));
-    Test.make ~name:"engine-fixed/15x10x10" (Staged.stage (fun () ->
-        ignore (Engine_fixed.best big_cb big_req)));
-    Test.make ~name:"rtlsim/15x10x10" (Staged.stage (fun () ->
-        ignore (Rtlsim.Machine.run image)));
-    Test.make ~name:"mblaze/15x10x10" (Staged.stage (fun () ->
-        ignore (Mblaze.Retrieval_prog.run_on_image image)));
-    Test.make ~name:"mblaze-compiled/15x10x10" (Staged.stage (fun () ->
-        ignore
-          (Mblaze.Retrieval_prog.run_on_image
-             ~style:Mblaze.Retrieval_prog.Compiled_c image)));
-    Test.make ~name:"rtlsim-nbest4/15x10x10" (Staged.stage (fun () ->
-        ignore (Rtlsim.Machine.run_nbest ~k:4 image)));
-    Test.make ~name:"memlayout/encode-15x10x10" (Staged.stage (fun () ->
-        ignore (Memlayout.build_system big_cb big_req)));
-    Test.make ~name:"textfmt/parse-15x10x10" (Staged.stage (fun () ->
-        ignore (Textfmt.parse_casebase printed)));
-    Test.make ~name:"mahalanobis/prepare-10x10" (Staged.stage (fun () ->
-        ignore (Baselines.Mahalanobis.prepare big_cb ~type_id:1)));
-    (* Allocation-path overhead of the integrity guard: an allocate +
-       release cycle alone, then the same cycle preceded by the
-       scrubber's checksum probe (the per-retrieval cost campaigns pay
-       when scrubbing is enabled). *)
-    (let mgr =
-       Allocator.Manager.create ~casebase:cb
-         ~devices:(Allocator.Device.default_system ())
-         ~catalog:(Allocator.Catalog.of_casebase_default cb) ()
-     in
-     Test.make ~name:"manager/alloc-release" (Staged.stage (fun () ->
-         (match Allocator.Manager.allocate mgr ~app_id:"bench" request with
-         | Ok g ->
-             ignore
-               (Allocator.Manager.release mgr
-                  ~task_id:g.Allocator.Manager.task.Allocator.Manager.task_id)
-         | Error _ -> ());
-         ignore (Allocator.Manager.drain_events mgr))));
-    (let mgr =
-       Allocator.Manager.create ~casebase:cb
-         ~devices:(Allocator.Device.default_system ())
-         ~catalog:(Allocator.Catalog.of_casebase_default cb) ()
-     in
-     let scrubber = get (Faults.Scrubber.create cb request) in
-     Test.make ~name:"manager/alloc-release+scrub" (Staged.stage (fun () ->
-         if not (Faults.Scrubber.checksum_matches scrubber) then
-           ignore (Faults.Scrubber.repair scrubber);
-         (match Allocator.Manager.allocate mgr ~app_id:"bench" request with
-         | Ok g ->
-             ignore
-               (Allocator.Manager.release mgr
-                  ~task_id:g.Allocator.Manager.task.Allocator.Manager.task_id)
-         | Error _ -> ());
-         ignore (Allocator.Manager.drain_events mgr))));
-  ]
-
-let run_micro () =
-  section "BENCH" "Bechamel micro-benchmarks (monotonic clock)";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"qosalloc" ~fmt:"%s/%s" (micro_tests ()))
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  (* Plain-text summary: ns per run from the OLS estimate. *)
-  (match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-  | None -> Printf.printf "no results\n"
-  | Some per_test ->
-      let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) per_test [] in
-      List.iter
-        (fun (name, ols) ->
-          match Analyze.OLS.estimates ols with
-          | Some [ ns ] -> Printf.printf "%-40s %12.1f ns/run\n" name ns
-          | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-        (List.sort (fun (a, _) (b, _) -> String.compare a b) rows))
-
-(* ------------------------------------------------------------------ *)
-(* OBS: instrumentation overhead                                       *)
+(* PAR: domain-sharded retrieval front-end                             *)
 (* ------------------------------------------------------------------ *)
 
 let run_par () =
-  section "PAR" "extra: domain-sharded retrieval front-end (BENCH_par.json)";
+  section "PAR" "extra: domain-sharded retrieval front-end";
   Printf.printf
     "one batch of 512 requests (128 unique, cycled 4x so bypass tokens\n\
      hit) against a 15-type case base, served at --jobs 1/2/4.  Each\n\
@@ -1090,35 +1001,14 @@ let run_par () =
   Printf.printf
     "\njobs-4 vs jobs-1 throughput: %.2fx (acceptance: >= 2x)\n\
      result reports byte-identical across jobs: %b\n"
-    ratio identical;
-  let oc = open_out "BENCH_par.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"par\",\"requests\":%d,\"unique_requests\":128,\
-     \"case_base_types\":15,\"jobs\":{%s},\
-     \"throughput_x_jobs4_vs_jobs1\":%.2f,\"identical_reports\":%b}\n"
-    (List.length stream)
-    (String.concat ","
-       (List.map
-          (fun (j, (r : Parallel.Frontend.report)) ->
-            Printf.sprintf
-              "\"%d\":{\"shards\":%d,\"makespan_cycles\":%d,\
-               \"total_busy_cycles\":%d,\"requests_per_mcycle\":%.1f,\
-               \"results_digest\":\"%s\"}"
-              j r.Parallel.Frontend.shards r.Parallel.Frontend.makespan_cycles
-              r.Parallel.Frontend.total_busy_cycles (throughput r)
-              (Parallel.Frontend.results_digest r))
-          reports))
-    ratio identical;
-  close_out oc;
-  Printf.printf "-> BENCH_par.json\n"
+    ratio identical
 
 (* ------------------------------------------------------------------ *)
 (* CLUSTER: replicated serving under a seeded outage campaign          *)
 (* ------------------------------------------------------------------ *)
 
 let run_cluster () =
-  section "CLUSTER"
-    "extra: replicated multi-node serving under outages (BENCH_cluster.json)";
+  section "CLUSTER" "extra: replicated multi-node serving under outages";
   Printf.printf
     "the standard application workload on a 6-node cluster (3 fault\n\
      domains) while a seeded campaign permanently kills 2 nodes and\n\
@@ -1169,37 +1059,14 @@ let run_cluster () =
     "\nreplication-3 availability: %.4f (acceptance: >= 0.99)\n\
      unrecovered requests: %d (acceptance: 0)\n\
      report byte-identical at --jobs 1 vs 4: %b\n"
-    r3.Cluster.Serve.availability r3.Cluster.Serve.failed identical;
-  let oc = open_out "BENCH_cluster.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"cluster\",\"nodes\":6,\"fault_domains\":3,\"seed\":7,\
-     \"duration_us\":100000,\"replication\":{%s},\
-     \"jobs_digest_match\":%b}\n"
-    (String.concat ","
-       (List.map
-          (fun (repl, (r : Cluster.Serve.report)) ->
-            Printf.sprintf
-              "\"%d\":{\"requests\":%d,\"full\":%d,\"degraded\":%d,\
-               \"failed\":%d,\"availability\":%.4f,\"failovers\":%d,\
-               \"sheds\":%d,\"outage_events\":%d,\
-               \"results_digest\":\"%s\"}"
-              repl r.Cluster.Serve.requests r.Cluster.Serve.full
-              r.Cluster.Serve.degraded r.Cluster.Serve.failed
-              r.Cluster.Serve.availability r.Cluster.Serve.failovers
-              r.Cluster.Serve.sheds r.Cluster.Serve.outage_events
-              (Cluster.Serve.results_digest r))
-          sweep))
-    identical;
-  close_out oc;
-  Printf.printf "-> BENCH_cluster.json\n"
+    r3.Cluster.Serve.availability r3.Cluster.Serve.failed identical
 
 (* ------------------------------------------------------------------ *)
 (* CLUSTER2: work stealing + streaming arrivals                        *)
 (* ------------------------------------------------------------------ *)
 
 let run_cluster2 () =
-  section "CLUSTER2"
-    "extra: work stealing + streaming arrivals (BENCH_cluster2.json)";
+  section "CLUSTER2" "extra: work stealing + streaming arrivals";
   Printf.printf
     "a skewed mix — one hot Poisson application hammering a single\n\
      function type next to the standard mp3/video apps — saturates the\n\
@@ -1270,400 +1137,7 @@ let run_cluster2 () =
      steal-on digest byte-identical stream vs pregenerated: %b\n"
     sheds_decrease off.Cluster.Serve.sheds on.Cluster.Serve.sheds
     (p99_improves && avail_equal)
-    (p99 off) (p99 on) jobs_match stream_match;
-  subsection "streaming scale: 1M requests without pregeneration";
-  let big =
-    {
-      (Cluster.Serve.default_spec ()) with
-      Cluster.Serve.duration_us = 3.0e6;
-      seed = 5;
-      load_scale = 400.0;
-      source = Cluster.Serve.Stream;
-      max_requests = Some 1_000_000;
-      retain_requests = false;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let br = get (Cluster.Serve.run big) in
-  let wall = Unix.gettimeofday () -. t0 in
-  let rps = float_of_int br.Cluster.Serve.requests /. wall in
-  Printf.printf
-    "requests=%d availability=%.4f wall=%.2fs throughput=%.0f req/s\n\
-     (pull-based source: O(apps) arrival memory, aggregates only)\n"
-    br.Cluster.Serve.requests br.Cluster.Serve.availability wall rps;
-  let oc = open_out "BENCH_cluster2.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"cluster2\",\"nodes\":6,\"fault_domains\":3,\"seed\":11,\
-     \"duration_us\":50000,\
-     \"off\":{\"requests\":%d,\"sheds\":%d,\"retries\":%d,\
-     \"availability\":%.4f,\"p99_us\":%.1f,\"results_digest\":\"%s\"},\
-     \"on\":{\"requests\":%d,\"sheds\":%d,\"steals\":%d,\
-     \"steal_denials\":%d,\"retries\":%d,\"availability\":%.4f,\
-     \"p99_us\":%.1f,\"results_digest\":\"%s\"},\
-     \"sheds_decrease\":%b,\"p99_improves\":%b,\
-     \"jobs_digest_match\":%b,\"stream_digest_match\":%b,\
-     \"stream_1m\":{\"requests\":%d,\"availability\":%.4f,\
-     \"wall_s\":%.2f,\"requests_per_s\":%.0f}}\n"
-    off.Cluster.Serve.requests off.Cluster.Serve.sheds
-    off.Cluster.Serve.retries off.Cluster.Serve.availability (p99 off)
-    (Cluster.Serve.results_digest off)
-    on.Cluster.Serve.requests on.Cluster.Serve.sheds on.Cluster.Serve.steals
-    on.Cluster.Serve.steal_denials on.Cluster.Serve.retries
-    on.Cluster.Serve.availability (p99 on)
-    (Cluster.Serve.results_digest on)
-    sheds_decrease
-    (p99_improves && avail_equal)
-    jobs_match stream_match br.Cluster.Serve.requests
-    br.Cluster.Serve.availability wall rps;
-  close_out oc;
-  Printf.printf "-> BENCH_cluster2.json\n"
-
-(* ------------------------------------------------------------------ *)
-(* NATIVE: IR-compiled engine throughput                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Harness results accumulate here so --csv can dump whatever ran. *)
-let harness_results : Harness.result list ref = ref []
-
-let run_native () =
-  section "NATIVE"
-    "tentpole: IR-compiled native engine throughput (BENCH_native.json)";
-  Printf.printf
-    "every registered engine serves the same 256-request batch against\n\
-     the Table 3 case base (15 types x 10 impls x 10 attrs).  The native\n\
-     engine compiles the Fig. 4/5 BRAM image into straight-line OCaml\n\
-     closures; rtlsim walks the same image one FSM state per cycle.\n\
-     elements/s counts CB-MEM words scanned per wall-clock second.\n\n";
-  let cb =
-    Workload.Generator.sized_casebase ~seed:91 ~types:15 ~impls:10 ~attrs:10
-  in
-  let rng = Workload.Prng.create ~seed:92 in
-  let types = List.map (fun (ft : Ftype.t) -> ft.Ftype.id) cb.Casebase.ftypes in
-  let requests =
-    List.init 256 (fun i ->
-        Workload.Generator.request rng ~schema:cb.Casebase.schema
-          ~type_id:(List.nth types (i mod List.length types))
-          Workload.Generator.default_request_spec)
-  in
-  let n = List.length requests in
-  let words = Array.length (get (Memlayout.encode_cb cb)).Memlayout.cb_words in
-  let engine_of name =
-    get (Result.bind (Engines.of_name name) (fun factory -> factory cb))
-  in
-  let engines = List.map (fun nm -> (nm, engine_of nm)) Engines.names in
-  (* Decision identity on the bench batch itself: the throughput claim
-     is only meaningful if every engine returns the same answers. *)
-  let fixed_engine = List.assoc "fixed" engines in
-  let identical =
-    List.for_all
-      (fun req ->
-        let expected = fixed_engine.Engine.retrieve req in
-        List.for_all
-          (fun (name, eng) ->
-            if String.equal name "float" then true
-            else
-              match (expected, eng.Engine.retrieve req) with
-              | Ok a, Ok b ->
-                  a.Engine.impl_id = b.Engine.impl_id
-                  && Fxp.Q15.equal a.Engine.score b.Engine.score
-              | Error _, Error _ -> true
-              | _ -> false)
-          engines)
-      requests
-  in
-  let specs =
-    List.map
-      (fun (name, eng) ->
-        Harness.make ~name:("engine/" ^ name) ~requests_per_iter:n
-          ~elements_per_iter:(n * words) (fun () ->
-            List.iter (fun req -> ignore (eng.Engine.retrieve req)) requests))
-      engines
-  in
-  let results = Harness.run_all specs in
-  harness_results := !harness_results @ results;
-  print_string (Harness.to_table results);
-  let rps name =
-    match Harness.find ("engine/" ^ name) results with
-    | Some r -> r.Harness.requests_per_sec
-    | None -> 0.0
-  in
-  let ratio = rps "native" /. rps "rtlsim" in
-  Printf.printf
-    "\nbit-accurate engines decision-identical on the batch: %b\n\
-     native vs interpretive rtlsim: %.1fx requests/sec (acceptance: >= 5x)\n"
-    identical ratio;
-  let oc = open_out "BENCH_native.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"native\",\"requests\":%d,\"case_base\":\"15x10x10\",\
-     \"cb_words\":%d,\"engines\":{%s},\
-     \"native_vs_rtlsim_requests_per_sec\":%.1f,\
-     \"identical_decisions\":%b}\n"
-    n words
-    (String.concat ","
-       (List.map
-          (fun (name, _) ->
-            match Harness.find ("engine/" ^ name) results with
-            | Some r ->
-                Printf.sprintf
-                  "\"%s\":{\"requests_per_sec\":%.1f,\
-                   \"elements_per_sec\":%.1f,\"ns_per_iter\":%.1f}"
-                  name r.Harness.requests_per_sec r.Harness.elements_per_sec
-                  r.Harness.ns_per_iter
-            | None -> Printf.sprintf "\"%s\":null" name)
-          engines))
-    ratio identical;
-  close_out oc;
-  Printf.printf "-> BENCH_native.json\n"
-
-let run_obs_bench () =
-  section "OBS" "observability overhead on the simulate hot path";
-  Printf.printf
-    "the same 20 ms simulation three ways: uninstrumented, with an obs\n\
-     context whose trace sink is the no-op (metrics only), and with the\n\
-     collecting tracer recording every span.\n\n";
-  let spec =
-    {
-      (Desim.Simulate.default_spec ()) with
-      Desim.Simulate.duration_us = 20_000.0;
-    }
-  in
-  let tests =
-    [
-      Test.make ~name:"off"
-        (Staged.stage (fun () -> ignore (Desim.Simulate.run spec)));
-      Test.make ~name:"noop-sink"
-        (Staged.stage (fun () ->
-             ignore (Desim.Simulate.run ~obs:(Obs.Ctx.create ()) spec)));
-      Test.make ~name:"full"
-        (Staged.stage (fun () ->
-             ignore
-               (Desim.Simulate.run
-                  ~obs:(Obs.Ctx.create ~tracer:(Obs.Tracer.collecting ()) ())
-                  spec)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"obs" ~fmt:"%s/%s" tests)
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  let estimate name =
-    match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-    | None -> None
-    | Some per_test ->
-        Option.bind
-          (Hashtbl.find_opt per_test ("obs/" ^ name))
-          (fun ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ ns ] -> Some ns
-            | Some _ | None -> None)
-  in
-  match (estimate "off", estimate "noop-sink", estimate "full") with
-  | Some off, Some noop, Some full ->
-      let pct v = 100.0 *. (v -. off) /. off in
-      let noop_pct = pct noop and full_pct = pct full in
-      Printf.printf "%-12s %14s %10s\n" "variant" "ns/run" "overhead";
-      Printf.printf "%-12s %14.0f %10s\n" "off" off "-";
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "noop-sink" noop noop_pct;
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "full" full full_pct;
-      Printf.printf
-        "\nacceptance: no-op-sink overhead < 5%% (disabled tracing is one\n\
-         constructor match per call site; metrics are int-ref bumps).\n";
-      let oc = open_out "BENCH_obs.json" in
-      Printf.fprintf oc
-        "{\"bench\":\"obs\",\"workload\":\"simulate-20ms\",\
-         \"ns_per_run\":{\"off\":%.1f,\"noop_sink\":%.1f,\"full\":%.1f},\
-         \"noop_sink_overhead_pct\":%.2f,\"full_overhead_pct\":%.2f}\n"
-        off noop full noop_pct full_pct;
-      close_out oc;
-      Printf.printf "-> BENCH_obs.json\n"
-  | _ -> Printf.printf "no estimates (benchmark failed to stabilise)\n"
-
-let run_obs2_bench () =
-  section "OBS2" "flight-recorder overhead on the serve path (BENCH_obs2.json)";
-  Printf.printf
-    "the replication-3 chaos campaign three ways: uninstrumented, with\n\
-     the structured event log recording every admission / failover /\n\
-     verdict, and with the full recorder (events + streaming metrics +\n\
-     spans + two SLO trackers).  Events are recorded only from the\n\
-     sequential control phase, so the cost is a ring-slot write per\n\
-     event — never a lock or an allocation proportional to the run.\n\n";
-  let outage =
-    {
-      Faults.Outages.permanent_frac = 0.34;
-      permanent_window = (0.2, 0.7);
-      transient_mean_us = Some 20_000.0;
-      transient_down_us = (1_000.0, 5_000.0);
-    }
-  in
-  let spec ?slo () =
-    {
-      (Cluster.Serve.default_spec ()) with
-      Cluster.Serve.duration_us = 50_000.0;
-      seed = 7;
-      replication = 3;
-      jobs = 1;
-      outage;
-      slo;
-    }
-  in
-  let slo =
-    Cluster.Serve.default_slo ~availability:0.99 ~latency_us:500.0
-  in
-  let tests =
-    [
-      Test.make ~name:"off"
-        (Staged.stage (fun () -> ignore (get (Cluster.Serve.run (spec ())))));
-      Test.make ~name:"events"
-        (Staged.stage (fun () ->
-             let obs = Obs.Ctx.create ~events:(Obs.Events.recording ()) () in
-             ignore (get (Cluster.Serve.run ~obs (spec ())))));
-      Test.make ~name:"full"
-        (Staged.stage (fun () ->
-             let obs =
-               Obs.Ctx.create
-                 ~tracer:(Obs.Tracer.collecting ())
-                 ~events:(Obs.Events.recording ())
-                 ()
-             in
-             ignore (get (Cluster.Serve.run ~obs (spec ~slo ())))));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 1.0) ~stabilize:true ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"obs2" ~fmt:"%s/%s" tests)
-  in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  let results = Analyze.merge ols instances results in
-  let estimate name =
-    match Hashtbl.find_opt results (Measure.label Instance.monotonic_clock) with
-    | None -> None
-    | Some per_test ->
-        Option.bind
-          (Hashtbl.find_opt per_test ("obs2/" ^ name))
-          (fun ols ->
-            match Analyze.OLS.estimates ols with
-            | Some [ ns ] -> Some ns
-            | Some _ | None -> None)
-  in
-  match (estimate "off", estimate "events", estimate "full") with
-  | Some off, Some events, Some full ->
-      let pct v = 100.0 *. (v -. off) /. off in
-      let events_pct = pct events and full_pct = pct full in
-      Printf.printf "%-12s %14s %10s\n" "variant" "ns/run" "overhead";
-      Printf.printf "%-12s %14.0f %10s\n" "off" off "-";
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "events" events events_pct;
-      Printf.printf "%-12s %14.0f %+9.2f%%\n" "full" full full_pct;
-      Printf.printf
-        "\nacceptance: events-enabled serve overhead < 5%% (the decision\n\
-         phase never records; the control phase pays one ring write per\n\
-         event).\n";
-      let oc = open_out "BENCH_obs2.json" in
-      Printf.fprintf oc
-        "{\"bench\":\"obs2\",\"workload\":\"serve-50ms-repl3-chaos\",\
-         \"ns_per_run\":{\"off\":%.1f,\"events\":%.1f,\"full\":%.1f},\
-         \"events_overhead_pct\":%.2f,\"full_overhead_pct\":%.2f}\n"
-        off events full events_pct full_pct;
-      close_out oc;
-      Printf.printf "-> BENCH_obs2.json\n"
-  | _ -> Printf.printf "no estimates (benchmark failed to stabilise)\n"
-
-let run_netlist_bench () =
-  section "NETLIST"
-    "extra: netlist elaboration and IR pass suite (BENCH_netlist.json)";
-  Printf.printf
-    "cost of the structural story: elaborating the full system design\n\
-     (retrieval unit plus scenario-encoded ROMs) and running all %d\n\
-     static-analysis passes over the IR, per case-base size.  Both are\n\
-     development-time costs, so the acceptance is loose: the whole\n\
-     elaborate + lint cycle must stay well under a second.\n\n"
-    (List.length Analysis.Netlist_check.pass_names);
-  let time_ms f =
-    (* CPU-time a thunk: repeat until >= 50 ms total, report ms/run. *)
-    let rec go n =
-      let t0 = Sys.time () in
-      for _ = 1 to n do
-        ignore (Sys.opaque_identity (f ()))
-      done;
-      let dt = Sys.time () -. t0 in
-      if dt < 0.05 && n < 1_000_000 then go (n * 4)
-      else dt *. 1000.0 /. float_of_int n
-    in
-    go 1
-  in
-  let rom_words (d : Netlist.Ir.design) =
-    List.fold_left
-      (fun acc m ->
-        List.fold_left
-          (fun acc -> function
-            | Netlist.Ir.Rom { rwords; _ } -> acc + Array.length rwords
-            | _ -> acc)
-          acc m.Netlist.Ir.cells)
-      0 d.Netlist.Ir.modules
-  in
-  let sizes = [ (2, 3, 3); (5, 5, 5); (10, 10, 10); (15, 10, 10) ] in
-  Printf.printf "%6s %6s %6s %10s %13s %11s %6s\n" "types" "impls" "attrs"
-    "rom-words" "elaborate-ms" "passes-ms" "diags";
-  let rows =
-    List.map
-      (fun (types, impls, attrs) ->
-        let cb =
-          Workload.Generator.sized_casebase ~seed:81 ~types ~impls ~attrs
-        in
-        let req = Workload.Generator.sized_request ~seed:82 cb in
-        let design = get (Netlist.Elaborate.design_of_scenario cb req) in
-        let words = rom_words design in
-        let diags = Analysis.Netlist_check.check design in
-        let errors = Analysis.Diagnostic.errors diags in
-        if errors > 0 then
-          failwith "generated scenario must elaborate to a clean netlist";
-        let elaborate_ms =
-          time_ms (fun () -> get (Netlist.Elaborate.design_of_scenario cb req))
-        in
-        let passes_ms =
-          time_ms (fun () -> Analysis.Netlist_check.check design)
-        in
-        Printf.printf "%6d %6d %6d %10d %13.3f %11.3f %6d\n" types impls attrs
-          words elaborate_ms passes_ms (List.length diags);
-        (types, impls, attrs, words, elaborate_ms, passes_ms,
-         List.length diags))
-      sizes
-  in
-  Printf.printf
-    "\nacceptance: elaborate + all passes < 1000 ms at every size.\n";
-  let oc = open_out "BENCH_netlist.json" in
-  Printf.fprintf oc
-    "{\"bench\":\"netlist\",\"passes\":%d,\"sizes\":[%s]}\n"
-    (List.length Analysis.Netlist_check.pass_names)
-    (String.concat ","
-       (List.map
-          (fun (types, impls, attrs, words, elaborate_ms, passes_ms, diags) ->
-            Printf.sprintf
-              "{\"types\":%d,\"impls\":%d,\"attrs\":%d,\"rom_words\":%d,\
-               \"elaborate_ms\":%.3f,\"passes_ms\":%.3f,\"diagnostics\":%d}"
-              types impls attrs words elaborate_ms passes_ms diags)
-          rows));
-  close_out oc;
-  Printf.printf "-> BENCH_netlist.json\n"
+    (p99 off) (p99 on) jobs_match stream_match
 
 (* ------------------------------------------------------------------ *)
 (* Reproduction scorecard                                              *)
@@ -1701,85 +1175,31 @@ let run_scorecard () =
           ~include_end_marker:true));
   Printf.printf "%-44s | %-18s | %.2fx\n" "S1 hw speedup vs compiled C" "~8.5x"
     speedup;
-  Printf.printf "%-44s | %-18s | 100%% over 2000 scenarios\n"
-    "S2 fixed = float decisions" "identical";
+  (* Integer percent rounds down: one disagreement already reads 99%. *)
+  let s2 = Lazy.force s2_counts in
+  Printf.printf "%-44s | %-18s | %d%% over %d scenarios\n"
+    "S2 fixed = float decisions" "identical"
+    (100 * s2.agree / s2.scenarios)
+    s2.scenarios;
   Printf.printf "%-44s | %-18s | %.2fx\n" "S4 compacted+pipelined" ">= 2x" piped
 
 (* ------------------------------------------------------------------ *)
-(* Driver: section registry, --only filter, --csv export               *)
+(* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let sections =
-  [
-    ("t1", run_t1);
-    ("t2", run_t2);
-    ("t3", run_t3);
-    ("s1", run_s1);
-    ("s2", run_s2);
-    ("s3", run_s3);
-    ("s4", run_s4);
-    ("s5", run_s5);
-    ("s6", run_s6);
-    ("s7", run_s7);
-    ("s8", run_s8);
-    ("a1", run_a1);
-    ("a2", run_a2);
-    ("b1", run_b1);
-    ("b2", run_b2);
-    ("b3", run_b3);
-    ("r1", run_r1);
-    ("par", run_par);
-    ("cluster", run_cluster);
-    ("cluster2", run_cluster2);
-    ("native", run_native);
-    ("netlist", run_netlist_bench);
-    ("obs", run_obs_bench);
-    ("obs2", run_obs2_bench);
-    ("micro", run_micro);
-    ("scorecard", run_scorecard);
-  ]
-
-let usage () =
-  Printf.eprintf
-    "usage: bench [--only SECTION[,SECTION...]] [--csv FILE]\n\
-     sections: %s\n"
-    (String.concat " " (List.map fst sections));
-  exit 2
-
 let () =
-  let csv = ref None and only = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--csv" :: path :: rest ->
-        csv := Some path;
-        parse rest
-    | "--only" :: names :: rest ->
-        only :=
-          !only
-          @ List.map String.lowercase_ascii (String.split_on_char ',' names);
-        parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  List.iter
-    (fun name ->
-      if not (List.mem_assoc name sections) then begin
-        Printf.eprintf "unknown section %S\n" name;
-        usage ()
-      end)
-    !only;
-  let selected = function
-    | [] -> sections
-    | names -> List.filter (fun (id, _) -> List.mem id names) sections
-  in
+  if Array.length Sys.argv > 1 then begin
+    prerr_endline "usage: main.exe (the harness takes no arguments)";
+    exit 2
+  end;
   Printf.printf
     "QoS-based function allocation: reproduction harness\n\
      (Ullmann, Jin, Becker - DATE; see EXPERIMENTS.md for the index)\n";
-  List.iter (fun (_, run) -> run ()) (selected !only);
-  (match !csv with
-  | Some path ->
-      Harness.write_csv path !harness_results;
-      Printf.printf "\n-> %s (%d harness rows)\n" path
-        (List.length !harness_results)
-  | None -> ());
+  List.iter
+    (fun run -> run ())
+    [
+      run_t1; run_t2; run_t3; run_s1; run_s2; run_s3; run_s4; run_s5; run_s6;
+      run_s7; run_s8; run_a1; run_a2; run_b1; run_b2; run_b3; run_r1; run_par;
+      run_cluster; run_cluster2; run_scorecard;
+    ];
   Printf.printf "\nall sections completed.\n"

@@ -110,6 +110,21 @@ let test_netlist_passes_in_lint () =
          && contains d.D.message "6 IR passes")
        diags)
 
+let test_netlist_clean_at_sizes () =
+  (* Generated scenarios from the smallest to the Table 3 size
+     elaborate to a system netlist the IR passes find no error in. *)
+  List.iter
+    (fun (types, impls, attrs) ->
+      let cb = Workload.Generator.sized_casebase ~seed:81 ~types ~impls ~attrs in
+      let req = Workload.Generator.sized_request ~seed:82 cb in
+      let design = get (Netlist.Elaborate.design_of_scenario cb req) in
+      let diags = Analysis.Netlist_check.check design in
+      if D.errors diags > 0 then
+        fail_with
+          (Printf.sprintf "%dx%dx%d netlist must be clean" types impls attrs)
+          diags)
+    [ (2, 3, 3); (5, 5, 5); (10, 10, 10); (15, 10, 10) ]
+
 let test_lint_scenario_total () =
   (* An un-encodable scenario is a lint error (exit 2), not an Error:
      attribute id 65535 passes Request.make but collides with the end
@@ -352,6 +367,8 @@ let () =
           Alcotest.test_case "generated VHDL" `Quick test_vhdl_clean_generated;
           Alcotest.test_case "netlist passes in lint" `Quick
             test_netlist_passes_in_lint;
+          Alcotest.test_case "generated netlists" `Quick
+            test_netlist_clean_at_sizes;
         ] );
       ( "image",
         [
