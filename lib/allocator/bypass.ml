@@ -2,38 +2,73 @@ open Qos_core
 
 let quantise w = Fxp.Q15.to_raw (Fxp.Q15.of_float w)
 
+(* The sum [Request.normalized_weights] divides by, in its order. *)
+let[@inline] weight_total (r : Request.t) =
+  let total = ref 0.0 and cs = ref r.constraints in
+  while !cs != [] do
+    match !cs with
+    | [] -> ()
+    | c :: rest ->
+        total := !total +. c.Request.weight;
+        cs := rest
+  done;
+  !total
+
+(* These walk the constraints in place of [Request.normalized_weights]'
+   triples, which are empty when the weight total is [<= 0]. *)
+let rec triples total = function
+  | [] -> []
+  | (c : Request.constr) :: cs ->
+      (c.attr, c.value, quantise (c.weight /. total)) :: triples total cs
+
 let signature (r : Request.t) =
-  List.map (fun (aid, v, w) -> (aid, v, quantise w)) (Request.normalized_weights r)
+  let total = weight_total r in
+  if total <= 0.0 then [] else triples total r.constraints
 
 let fingerprint (r : Request.t) =
-  List.fold_left
-    (fun acc (aid, v, w) ->
-      let h = acc in
-      let h = (h * 1000003) lxor aid in
-      let h = (h * 1000003) lxor v in
-      (h * 1000003) lxor quantise w)
-    (r.type_id * 1000003)
-    (Request.normalized_weights r)
-  land max_int
+  let total = weight_total r in
+  let h = ref (r.type_id * 1000003) in
+  if not (total <= 0.0) then begin
+    let cs = ref r.constraints in
+    while !cs != [] do
+      match !cs with
+      | [] -> ()
+      | c :: rest ->
+          cs := rest;
+          h := (!h * 1000003) lxor c.Request.attr;
+          h := (!h * 1000003) lxor c.Request.value;
+          h := (!h * 1000003) lxor quantise (c.Request.weight /. total)
+    done
+  end;
+  !h land max_int
+
+let rec same_triples total signature (cs : Request.constr list) =
+  match (signature, cs) with
+  | [], [] -> true
+  | (aid, v, w) :: signature, c :: cs ->
+      aid = c.attr && v = c.value
+      && w = quantise (c.weight /. total)
+      && same_triples total signature cs
+  | _ :: _, [] | [], _ :: _ -> false
+
+let has_signature signature (r : Request.t) =
+  let total = weight_total r in
+  if total <= 0.0 then signature = []
+  else same_triples total signature r.constraints
 
 (* The token the table is addressed by (what the hardware would hold in
-   a CAM word) is only the 62-bit fingerprint; the full signature rides
-   along in [key] so hits can be verified instead of trusted. *)
+   a CAM word) is only the 62-bit fingerprint; the request rides along
+   in [key] so hits can be verified against the stored signature
+   instead of trusted. *)
 type token = { tok_app : string; tok_type : int; tok_fp : int }
-
-type key = {
-  app_id : string;
-  type_id : int;
-  fingerprint : int;
-  signature : (int * int * int) list;
-}
+type key = { token : token; request : Request.t }
 
 let key_of ?fingerprint:fp ~app_id (r : Request.t) =
   let fingerprint = match fp with Some f -> f r | None -> fingerprint r in
-  { app_id; type_id = r.type_id; fingerprint; signature = signature r }
-
-let token_of (k : key) =
-  { tok_app = k.app_id; tok_type = k.type_id; tok_fp = k.fingerprint }
+  {
+    token = { tok_app = app_id; tok_type = r.type_id; tok_fp = fingerprint };
+    request = r;
+  }
 
 type entry = { e_signature : (int * int * int) list; e_impl : int }
 
@@ -54,51 +89,52 @@ let create () =
     invalidations = 0;
   }
 
-let find_verified t key =
-  match Hashtbl.find_opt t.table (token_of key) with
-  | Some e when e.e_signature = key.signature -> `Hit e.e_impl
-  | Some _ -> `Collision
-  | None -> `Absent
-
 let lookup t key =
-  match find_verified t key with
-  | `Hit impl_id ->
+  match Hashtbl.find t.table key.token with
+  | e when has_signature e.e_signature key.request ->
       t.hits <- t.hits + 1;
-      Some impl_id
-  | `Collision ->
+      Some e.e_impl
+  | _ ->
       (* Fingerprint matched but the stored constraints differ: a hash
          collision between two distinct requests.  Returning the stored
          variant here would silently violate the caller's QoS. *)
       t.verified_misses <- t.verified_misses + 1;
       None
-  | `Absent ->
+  | exception Not_found ->
       t.misses <- t.misses + 1;
       None
 
 let peek t key =
-  match find_verified t key with `Hit impl_id -> Some impl_id | _ -> None
+  match Hashtbl.find t.table key.token with
+  | e when has_signature e.e_signature key.request -> Some e.e_impl
+  | _ | (exception Not_found) -> None
 
 let remember t key ~impl_id =
-  Hashtbl.replace t.table (token_of key)
-    { e_signature = key.signature; e_impl = impl_id }
+  Hashtbl.replace t.table key.token
+    { e_signature = signature key.request; e_impl = impl_id }
 
-let drop_matching t predicate =
-  let victims =
-    Hashtbl.fold
-      (fun tok entry acc -> if predicate tok entry then tok :: acc else acc)
-      t.table []
-  in
-  List.iter (Hashtbl.remove t.table) victims;
-  let n = List.length victims in
-  t.invalidations <- t.invalidations + n;
-  n
+let rec drop t n = function
+  | [] ->
+      t.invalidations <- t.invalidations + n;
+      n
+  | tok :: rest ->
+      Hashtbl.remove t.table tok;
+      drop t (n + 1) rest
 
 let invalidate_impl t ~type_id ~impl_id =
-  drop_matching t (fun tok entry ->
-      tok.tok_type = type_id && entry.e_impl = impl_id)
+  drop t 0
+    (Hashtbl.fold
+       (fun tok entry victims ->
+         if tok.tok_type = type_id && entry.e_impl = impl_id then tok :: victims
+         else victims)
+       t.table [])
 
 let invalidate_app t ~app_id =
-  drop_matching t (fun tok _ -> String.equal tok.tok_app app_id)
+  drop t 0
+    (Hashtbl.fold
+       (fun tok _ victims ->
+         if String.equal tok.tok_app app_id then tok :: victims else victims)
+       t.table [])
 
 type stats = {
   hits : int;

@@ -12,13 +12,17 @@
     Tokens are invalidated when the variant is unloaded. *)
 
 type key
-(** Lookup key: application, function type, fingerprint, plus the full
-    normalized signature used to verify hits. *)
+(** Lookup key: application, function type, fingerprint, plus the
+    request itself.  A hit is verified by walking the request's
+    constraints against the stored signature, so building a key makes
+    no signature list; only {!remember} builds one. *)
 
 val fingerprint : Qos_core.Request.t -> int
 (** Order-independent (constraints are stored sorted) hash of the
     constraint triples, with weights quantised to Q15 so requests that
-    the hardware cannot distinguish share a token. *)
+    the hardware cannot distinguish share a token.  Folds the
+    constraints in place: equal to hashing {!signature}'s triples, with
+    no list built. *)
 
 val signature : Qos_core.Request.t -> (int * int * int) list
 (** Normalized [(attr, value, q15_weight)] triples — the exact data the

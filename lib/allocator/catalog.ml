@@ -2,27 +2,32 @@ open Qos_core
 
 type requirement = { units : int; config_words : int }
 
-module Key = struct
-  type t = int * int
+module Int_map = Map.Make (Int)
 
-  let compare = compare
-end
+(* Keyed by type, then variant: a lookup compares ints and builds no
+   key tuple. *)
+type t = requirement Int_map.t Int_map.t
 
-module Key_map = Map.Make (Key)
+let empty = Int_map.empty
 
-type t = requirement Key_map.t
+let variants t type_id =
+  Option.value (Int_map.find_opt type_id t) ~default:Int_map.empty
 
-let empty = Key_map.empty
+let put ~type_id ~impl_id req t =
+  Int_map.add type_id (Int_map.add impl_id req (variants t type_id)) t
 
 let add ~type_id ~impl_id req t =
   if req.units <= 0 then
     Error
       (Printf.sprintf "impl (%d, %d): units must be positive" type_id impl_id)
-  else if Key_map.mem (type_id, impl_id) t then
+  else if Int_map.mem impl_id (variants t type_id) then
     Error (Printf.sprintf "duplicate catalog entry (%d, %d)" type_id impl_id)
-  else Ok (Key_map.add (type_id, impl_id) req t)
+  else Ok (put ~type_id ~impl_id req t)
 
-let find t ~type_id ~impl_id = Key_map.find_opt (type_id, impl_id) t
+let find t ~type_id ~impl_id =
+  match Int_map.find impl_id (Int_map.find type_id t) with
+  | req -> Some req
+  | exception Not_found -> None
 
 (* Synthetic but deterministic footprints: the richer the variant (more
    attributes) and the more hardware-ish the target, the bigger the
@@ -42,8 +47,8 @@ let of_casebase_default (cb : Casebase.t) =
     (fun acc (ft : Ftype.t) ->
       List.fold_left
         (fun acc (impl : Impl.t) ->
-          Key_map.add (ft.id, impl.id) (default_requirement impl) acc)
+          put ~type_id:ft.id ~impl_id:impl.id (default_requirement impl) acc)
         acc ft.impls)
     empty cb.ftypes
 
-let cardinal = Key_map.cardinal
+let cardinal t = Int_map.fold (fun _ impls n -> n + Int_map.cardinal impls) t 0

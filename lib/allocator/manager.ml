@@ -132,6 +132,11 @@ let make_instr ictx =
 type t = {
   casebase : Casebase.t;
   devices : Device.t list;
+  device_table : Device.t array;  (** [devices] by position. *)
+  order : int array;
+  order_free : int array;
+      (** Scratch for {!matching_devices}: candidate device positions
+          and their free units, most free first. *)
   catalog : Catalog.t;
   policy : policy;
   instr : instr option;
@@ -171,9 +176,13 @@ let create ~casebase ~devices ~catalog ?(policy = default_policy)
                 (Placement.create ~width:d.capacity)
           | Target.Dsp | Target.Gpp | Target.Asic | Target.Custom _ -> ())
         devices);
+  let device_table = Array.of_list devices in
   {
     casebase;
     devices;
+    device_table;
+    order = Array.make (Array.length device_table) 0;
+    order_free = Array.make (Array.length device_table) 0;
     catalog;
     policy;
     instr = Option.map make_instr obs;
@@ -213,17 +222,22 @@ let obs t = Option.map (fun i -> i.ictx) t.instr
 
 let tasks t = t.running
 
-let used_units t device_id =
-  List.fold_left
-    (fun acc task ->
-      if String.equal task.device_id device_id then acc + task.units else acc)
-    0 t.running
+let rec units_on device_id acc = function
+  | [] -> acc
+  | task :: rest ->
+      units_on device_id
+        (if String.equal task.device_id device_id then acc + task.units
+         else acc)
+        rest
+
+let used_units t ~device_id = units_on device_id 0 t.running
 
 let free_units t ~device_id =
   List.find_opt
     (fun (d : Device.t) -> String.equal d.device_id device_id)
     t.devices
-  |> Option.map (fun (d : Device.t) -> d.capacity - used_units t d.device_id)
+  |> Option.map (fun (d : Device.t) ->
+         d.capacity - used_units t ~device_id:d.device_id)
 
 let offer_of (r : Engine_float.ranked) =
   {
@@ -238,15 +252,30 @@ let device_available t ~device_id =
     t.devices
   && not (List.mem device_id t.failed_devices)
 
-(* Healthy devices able to host the variant, most free space first. *)
+(* Healthy devices able to host the variant, most free space first
+   (ties in [devices] order): fills [t.order] with their positions and
+   [t.order_free] with their free units, and returns how many. *)
 let matching_devices t (target : Target.t) =
-  t.devices
-  |> List.filter (fun (d : Device.t) ->
-         Target.equal d.target target
-         && device_available t ~device_id:d.device_id)
-  |> List.map (fun (d : Device.t) ->
-         (d, d.capacity - used_units t d.device_id))
-  |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
+  let n = ref 0 in
+  for i = 0 to Array.length t.device_table - 1 do
+    let d = t.device_table.(i) in
+    if
+      Target.equal d.target target
+      && not (List.mem d.device_id t.failed_devices)
+    then begin
+      let free = d.capacity - used_units t ~device_id:d.device_id in
+      let j = ref !n in
+      while !j > 0 && t.order_free.(!j - 1) < free do
+        t.order.(!j) <- t.order.(!j - 1);
+        t.order_free.(!j) <- t.order_free.(!j - 1);
+        decr j
+      done;
+      t.order.(!j) <- i;
+      t.order_free.(!j) <- free;
+      incr n
+    end
+  done;
+  !n
 
 let setup_time t (device : Device.t) units config_words =
   (device.reconfig_us_per_unit *. float_of_int units)
@@ -306,121 +335,154 @@ let remove_tasks t victims =
   t.running <-
     List.filter (fun task -> not (List.mem task.task_id victim_ids)) t.running
 
-let resident_instance t ~app_id ~type_id ~impl_id =
-  List.find_opt
-    (fun task ->
-      String.equal task.app_id app_id
-      && task.type_id = type_id && task.impl_id = impl_id)
-    t.running
+let rec resident_instance ~app_id ~type_id ~impl_id = function
+  | [] -> None
+  | task :: rest ->
+      if
+        String.equal task.app_id app_id
+        && task.type_id = type_id && task.impl_id = impl_id
+      then Some task
+      else resident_instance ~app_id ~type_id ~impl_id rest
 
-(* Try to host one candidate, first in free space, then by preemption. *)
-let try_host t ~app_id ~priority ~type_id (r : Engine_float.ranked) =
-  let impl = r.Retrieval.impl in
-  match Catalog.find t.catalog ~type_id ~impl_id:impl.Impl.id with
-  | None -> None
-  | Some req ->
-      let devices = matching_devices t impl.Impl.target in
-      let units = req.Catalog.units in
-      let grant_on device victims extent =
-        let task =
-          place t ~app_id ~priority ~type_id ~impl_id:impl.Impl.id
-            ~device_id:device.Device.device_id ~units ~score:r.Retrieval.score
-            ~extent
-        in
+let grant_on t ~app_id ~priority ~type_id ~retrieval_us (r : Engine_float.ranked)
+    (req : Catalog.requirement) (device : Device.t) victims extent =
+  let task =
+    place t ~app_id ~priority ~type_id ~impl_id:r.Retrieval.impl.Impl.id
+      ~device_id:device.device_id ~units:req.units ~score:r.Retrieval.score
+      ~extent
+  in
+  {
+    task;
+    preempted = victims;
+    setup_time_us =
+      setup_time t device req.units req.config_words +. retrieval_us;
+    retrieval_us;
+    via_bypass = false;
+  }
+
+(* The [i]-th to [n]-th matching devices, tried in free space. *)
+let rec free_fit t ~app_id ~priority ~type_id ~retrieval_us r
+    (req : Catalog.requirement) i n =
+  if i >= n then None
+  else
+    let device = t.device_table.(t.order.(i)) in
+    let reserved =
+      if device_fits t device.device_id ~free:t.order_free.(i) ~units:req.units
+      then reserve t device.device_id ~units:req.units
+      else None
+    in
+    match reserved with
+    | Some extent ->
         Some
-          {
-            task;
-            preempted = victims;
-            setup_time_us = setup_time t device units req.Catalog.config_words;
-            retrieval_us = 0.0;
-            via_bypass = false;
-          }
-      in
-      let rec free_fit = function
-        | [] -> None
-        | (device, free) :: rest ->
-            if device_fits t device.Device.device_id ~free ~units then
-              match reserve t device.Device.device_id ~units with
-              | Some extent -> grant_on device [] extent
-              | None -> free_fit rest
-            else free_fit rest
-      in
-      let with_preemption () =
-        if not t.policy.allow_preemption then None
-        else
-          let rec try_devices = function
-            | [] -> None
-            | (device, free) :: rest -> (
-                let device_id = device.Device.device_id in
-                (* On fragmented devices eviction by unit count is not
-                   enough: evict cheapest-first until a contiguous gap
-                   appears. *)
-                let enough_after victims =
-                  match column_map t device_id with
-                  | None ->
-                      free
-                      + List.fold_left (fun acc v -> acc + v.units) 0 victims
-                      >= units
-                  | Some map ->
-                      (* Tentatively free the victims' extents. *)
-                      let freed =
-                        List.filter_map
-                          (fun v ->
-                            match v.extent with
-                            | Some e when Placement.release map e = Ok () ->
-                                Some e
-                            | Some _ | None -> None)
-                          victims
-                      in
-                      let fits = Placement.would_fit map ~length:units in
-                      (* Roll the tentative frees back; the real
-                         eviction happens in remove_tasks. *)
-                      List.iter (fun e -> ignore (Placement.place_at map e)) freed;
-                      fits
-                in
-                let candidates =
-                  t.running
-                  |> List.filter (fun task ->
-                         String.equal task.device_id device_id
-                         && task.priority < priority)
-                  |> List.sort (fun a b ->
-                         match Int.compare a.priority b.priority with
-                         | 0 -> Int.compare a.units b.units
-                         | c -> c)
-                in
-                let rec grow chosen = function
-                  | [] -> None
-                  | v :: rest ->
-                      let chosen = chosen @ [ v ] in
-                      if enough_after chosen then Some chosen
-                      else grow chosen rest
-                in
-                let victims =
-                  if enough_after [] then Some [] else grow [] candidates
-                in
-                match victims with
-                | None -> try_devices rest
-                | Some victims -> (
-                    remove_tasks t victims;
-                    List.iter
-                      (fun v ->
-                        ignore
-                          (Bypass.invalidate_impl t.bypass ~type_id:v.type_id
-                             ~impl_id:v.impl_id);
-                        push_event t (Preempted_task v))
-                      victims;
-                    match reserve t device_id ~units with
-                    | Some extent -> grant_on device victims extent
-                    | None ->
-                        (* Should not happen: enough_after verified the
-                           gap.  Fail this device rather than crash. *)
-                        try_devices rest))
-          in
-          try_devices devices
-      in
-      (match free_fit devices with
-      | Some grant -> Some grant
-      | None -> with_preemption ())
+          (grant_on t ~app_id ~priority ~type_id ~retrieval_us r req device []
+             extent)
+    | None -> free_fit t ~app_id ~priority ~type_id ~retrieval_us r req (i + 1) n
+
+(* Strictly lower-priority tasks to evict from the device, cheapest
+   first, until [units] fit; [None] when evicting all of them is not
+   enough. *)
+let victims_for t device_id ~free ~units ~priority =
+  (* On fragmented devices eviction by unit count is not enough: evict
+     cheapest-first until a contiguous gap appears. *)
+  let enough_after victims =
+    match column_map t device_id with
+    | None -> free + List.fold_left (fun acc v -> acc + v.units) 0 victims >= units
+    | Some map ->
+        (* Tentatively free the victims' extents. *)
+        let freed =
+          List.filter_map
+            (fun v ->
+              match v.extent with
+              | Some e when Placement.release map e = Ok () -> Some e
+              | Some _ | None -> None)
+            victims
+        in
+        let fits = Placement.would_fit map ~length:units in
+        (* Roll the tentative frees back; the real eviction happens in
+           remove_tasks. *)
+        List.iter (fun e -> ignore (Placement.place_at map e)) freed;
+        fits
+  in
+  let candidates =
+    t.running
+    |> List.filter (fun task ->
+           String.equal task.device_id device_id && task.priority < priority)
+    |> List.sort (fun a b ->
+           match Int.compare a.priority b.priority with
+           | 0 -> Int.compare a.units b.units
+           | c -> c)
+  in
+  let rec grow chosen = function
+    | [] -> None
+    | v :: rest ->
+        let chosen = chosen @ [ v ] in
+        if enough_after chosen then Some chosen else grow chosen rest
+  in
+  if enough_after [] then Some [] else grow [] candidates
+
+(* The [i]-th to [n]-th matching devices, tried by preemption. *)
+let rec preempt_fit t ~app_id ~priority ~type_id ~retrieval_us r
+    (req : Catalog.requirement) i n =
+  if i >= n then None
+  else
+    let device = t.device_table.(t.order.(i)) in
+    let granted =
+      match
+        victims_for t device.device_id ~free:t.order_free.(i) ~units:req.units
+          ~priority
+      with
+      | None -> None
+      | Some victims -> (
+          remove_tasks t victims;
+          List.iter
+            (fun v ->
+              ignore
+                (Bypass.invalidate_impl t.bypass ~type_id:v.type_id
+                   ~impl_id:v.impl_id);
+              push_event t (Preempted_task v))
+            victims;
+          match reserve t device.device_id ~units:req.units with
+          | Some extent ->
+              Some
+                (grant_on t ~app_id ~priority ~type_id ~retrieval_us r req
+                   device victims extent)
+          | None ->
+              (* Should not happen: victims_for verified the gap.  Fail
+                 this device rather than crash. *)
+              None)
+    in
+    match granted with
+    | Some _ -> granted
+    | None ->
+        preempt_fit t ~app_id ~priority ~type_id ~retrieval_us r req (i + 1) n
+
+(* Try to host one candidate, first in free space, then by preemption;
+   the grant's setup time includes [retrieval_us]. *)
+let try_host t ~app_id ~priority ~type_id ~retrieval_us
+    (r : Engine_float.ranked) =
+  match Catalog.find t.catalog ~type_id ~impl_id:r.Retrieval.impl.Impl.id with
+  | None -> None
+  | Some req -> (
+      let n = matching_devices t r.Retrieval.impl.Impl.target in
+      match free_fit t ~app_id ~priority ~type_id ~retrieval_us r req 0 n with
+      | Some _ as grant -> grant
+      | None ->
+          if t.policy.allow_preemption then
+            preempt_fit t ~app_id ~priority ~type_id ~retrieval_us r req 0 n
+          else None)
+
+(* The acceptable candidates, best first, until one is hosted; ranked
+   lists are sorted, so those at or above the threshold are a prefix. *)
+let rec attempt t ~app_id ~priority ~type_id ~retrieval_us = function
+  | (r : Engine_float.ranked) :: rest when r.score >= t.policy.threshold -> (
+      match try_host t ~app_id ~priority ~type_id ~retrieval_us r with
+      | Some _ as grant -> grant
+      | None -> attempt t ~app_id ~priority ~type_id ~retrieval_us rest)
+  | _ -> None
+
+let refuse t ~app_id ~type_id refusal =
+  push_event t (Refused { app_id; type_id; refusal });
+  Error refusal
 
 let allocate_impl t ~app_id ~priority (request : Request.t) =
   let key = Bypass.key_of ~app_id request in
@@ -429,7 +491,8 @@ let allocate_impl t ~app_id ~priority (request : Request.t) =
     | None -> None
     | Some impl_id -> (
         match
-          resident_instance t ~app_id ~type_id:request.type_id ~impl_id
+          resident_instance ~app_id ~type_id:request.type_id ~impl_id
+            t.running
         with
         | Some task ->
             Some
@@ -465,62 +528,45 @@ let allocate_impl t ~app_id ~priority (request : Request.t) =
       match
         Engine_float.n_best ~n:t.policy.max_candidates t.casebase request
       with
-      | Error e ->
-          let refusal = Unknown_request e in
-          push_event t (Refused { app_id; type_id = request.type_id; refusal });
-          Error refusal
+      | Error e -> refuse t ~app_id ~type_id:request.type_id (Unknown_request e)
       | Ok ranked -> (
-          let acceptable, rejected =
-            List.partition
-              (fun (r : Engine_float.ranked) ->
-                r.Retrieval.score >= t.policy.threshold)
-              ranked
-          in
-          match acceptable with
-          | [] ->
-              let refusal = All_below_threshold (List.map offer_of rejected) in
-              push_event t
-                (Refused { app_id; type_id = request.type_id; refusal });
-              Error refusal
+          let type_id = request.type_id in
+          match ranked with
+          | [] -> refuse t ~app_id ~type_id (All_below_threshold [])
+          | top :: _ when not (top.Retrieval.score >= t.policy.threshold) ->
+              refuse t ~app_id ~type_id
+                (All_below_threshold (List.map offer_of ranked))
           | _ -> (
-              let rec attempt = function
-                | [] ->
-                    let refusal =
-                      No_feasible (List.map offer_of acceptable)
+              let result =
+                match t.instr with
+                | None ->
+                    attempt t ~app_id ~priority ~type_id ~retrieval_us ranked
+                | Some i ->
+                    let tr = i.ictx.Obs.Ctx.tracer in
+                    let sp =
+                      Obs.Tracer.begin_span tr ~ts:(Obs.Ctx.now i.ictx)
+                        ~args:[ ("app", app_id) ] "placement"
                     in
-                    push_event t
-                      (Refused { app_id; type_id = request.type_id; refusal });
-                    Error refusal
-                | candidate :: rest -> (
-                    match
-                      try_host t ~app_id ~priority ~type_id:request.type_id
-                        candidate
-                    with
-                    | Some grant ->
-                        let grant =
-                          {
-                            grant with
-                            retrieval_us;
-                            setup_time_us = grant.setup_time_us +. retrieval_us;
-                          }
-                        in
-                        Bypass.remember t.bypass key
-                          ~impl_id:grant.task.impl_id;
-                        push_event t (Granted grant);
-                        Ok grant
-                    | None -> attempt rest)
+                    let result =
+                      attempt t ~app_id ~priority ~type_id ~retrieval_us ranked
+                    in
+                    Obs.Tracer.end_span tr ~ts:(Obs.Ctx.now i.ictx) sp;
+                    result
               in
-              match t.instr with
-              | None -> attempt acceptable
-              | Some i ->
-                  let tr = i.ictx.Obs.Ctx.tracer in
-                  let sp =
-                    Obs.Tracer.begin_span tr ~ts:(Obs.Ctx.now i.ictx)
-                      ~args:[ ("app", app_id) ] "placement"
+              match result with
+              | Some grant ->
+                  Bypass.remember t.bypass key ~impl_id:grant.task.impl_id;
+                  push_event t (Granted grant);
+                  Ok grant
+              | None ->
+                  let acceptable =
+                    List.filter
+                      (fun (r : Engine_float.ranked) ->
+                        r.Retrieval.score >= t.policy.threshold)
+                      ranked
                   in
-                  let result = attempt acceptable in
-                  Obs.Tracer.end_span tr ~ts:(Obs.Ctx.now i.ictx) sp;
-                  result)))
+                  refuse t ~app_id ~type_id
+                    (No_feasible (List.map offer_of acceptable)))))
 
 let allocate t ~app_id ?(priority = 0) (request : Request.t) =
   match t.instr with
@@ -544,18 +590,29 @@ let allocate t ~app_id ?(priority = 0) (request : Request.t) =
       Obs.Tracer.end_span tr ~ts:(Obs.Ctx.now i.ictx) sp;
       result
 
+let rec find_task task_id = function
+  | [] -> None
+  | task :: rest -> if task.task_id = task_id then Some task else find_task task_id rest
+
+let rec without_task task_id = function
+  | [] -> []
+  | task :: rest ->
+      if task.task_id = task_id then rest else task :: without_task task_id rest
+
+let rec hosts_variant ~type_id ~impl_id = function
+  | [] -> false
+  | task :: rest ->
+      (task.type_id = type_id && task.impl_id = impl_id)
+      || hosts_variant ~type_id ~impl_id rest
+
 let release t ~task_id =
-  match List.find_opt (fun task -> task.task_id = task_id) t.running with
+  match find_task task_id t.running with
   | None -> Error (Printf.sprintf "no running task %d" task_id)
   | Some task ->
       unreserve t task;
-      t.running <- List.filter (fun x -> x.task_id <> task_id) t.running;
-      let still_resident =
-        List.exists
-          (fun x -> x.type_id = task.type_id && x.impl_id = task.impl_id)
-          t.running
-      in
-      if not still_resident then
+      t.running <- without_task task_id t.running;
+      if not (hosts_variant ~type_id:task.type_id ~impl_id:task.impl_id t.running)
+      then
         ignore
           (Bypass.invalidate_impl t.bypass ~type_id:task.type_id
              ~impl_id:task.impl_id);

@@ -149,6 +149,11 @@ val release_app : t -> app_id:string -> int
 (** Releases every task of the application; returns the count. *)
 
 val tasks : t -> task list
+
+val used_units : t -> device_id:string -> int
+(** Units the running tasks occupy on the device (0 for an unknown id);
+    a walk of {!tasks} that allocates nothing. *)
+
 val free_units : t -> device_id:string -> int option
 
 val fragmentation : t -> device_id:string -> float option

@@ -43,6 +43,11 @@ module Schema = struct
   let descriptor_dmax (d : descriptor) = d.upper - d.lower
   let dmax t id = Option.map descriptor_dmax (find t id)
 
+  let dmax_or t id ~default =
+    match Int_map.find id t with
+    | d -> descriptor_dmax d
+    | exception Not_found -> default
+
   let recip t id =
     Option.map (fun d -> Fxp.Q15.recip_succ (descriptor_dmax d)) (find t id)
   let descriptors t = List.map snd (Int_map.bindings t)

@@ -51,6 +51,10 @@ module Schema : sig
   val dmax : t -> id -> int option
   (** Maximum distance for the given attribute ID, when known. *)
 
+  val dmax_or : t -> id -> default:int -> int
+  (** {!dmax} without the option box: [default] when the ID is not in
+      the schema.  For lookups on a per-request path. *)
+
   val recip : t -> id -> Fxp.Q15.t option
   (** Q15 value of [(1 + dmax)^-1] — the "maxrange-1" supplemental
       entry that lets the datapath multiply instead of divide. *)

@@ -18,7 +18,17 @@ val score_impl :
   float
 (** Global similarity of one variant against the request.  Constraints
     the variant (or the schema) does not know contribute local
-    similarity 0.  Weights are normalised internally. *)
+    similarity 0.  Weights are normalised internally.
+
+    Scoring allocates nothing: one merge walk down the request's and
+    the variant's ID-sorted attribute lists folds the amalgamation in
+    place, with no weights, pairs or option built per attribute.  The
+    sum, divisions, fold order and clamping are those of
+    {!Similarity.amalgamate} over {!Request.normalized_weights}, so the
+    result is bit-identical to folding that list.  This is the one
+    float scorer: the ranking functions below, the ["float"] engine,
+    {!Engine_fixed}'s agreement check, the baselines and the allocation
+    manager all score through it. *)
 
 val rank_all :
   ?amalgamation:Similarity.amalgamation ->
@@ -41,7 +51,11 @@ val n_best :
   Request.t ->
   (ranked list, Retrieval.error) result
 (** Up to [n] best variants (the paper's announced "next step",
-    Sec. 5). [n <= 0] yields an empty list. *)
+    Sec. 5). [n <= 0] yields an empty list.
+
+    A stable top-[n] insertion: the result is the first [n] of
+    {!rank_all}'s stable order (ties keep case-base order), and a
+    variant that does not make the cut allocates nothing. *)
 
 val above_threshold :
   ?amalgamation:Similarity.amalgamation ->

@@ -82,12 +82,25 @@ type hooks = {
     unit;
 }
 
+(* Utilization is kept per position in [spec.devices] and divided by
+   each capacity, so ids must be distinct and capacities positive. *)
+let rec check_devices seen = function
+  | [] -> Ok ()
+  | (d : Device.t) :: rest ->
+      if List.mem d.device_id seen then
+        Error (Printf.sprintf "simulate: duplicate device id %S" d.device_id)
+      else if d.capacity <= 0 then
+        Error
+          (Printf.sprintf "simulate: device %S capacity must be > 0 (got %d)"
+             d.device_id d.capacity)
+      else check_devices (d.device_id :: seen) rest
+
 let validate (spec : spec) =
-  if Float.is_finite spec.duration_us && spec.duration_us > 0.0 then Ok ()
-  else
+  if not (Float.is_finite spec.duration_us && spec.duration_us > 0.0) then
     Error
       (Printf.sprintf "simulate: duration_us must be finite and > 0 (got %g)"
          spec.duration_us)
+  else check_devices [] spec.devices
 
 (* Manager event kinds in report order; [event_index] is the position. *)
 let event_kinds =
@@ -180,24 +193,18 @@ let run ?obs ?hooks spec =
     | _ -> ()
   in
   let drain_events () = List.iter count_event (Manager.drain_events manager) in
-  let utilization_sums = Hashtbl.create 8 in
+  let devices = Array.of_list spec.devices in
+  let utilization_sums = Array.make (Array.length devices) 0.0 in
   let utilization_samples = ref 0 in
   let sample_utilization () =
     incr utilization_samples;
-    List.iter
-      (fun (d : Device.t) ->
-        let used =
-          match Manager.free_units manager ~device_id:d.Device.device_id with
-          | Some free -> d.Device.capacity - free
-          | None -> 0
-        in
-        let fraction = float_of_int used /. float_of_int d.Device.capacity in
-        let prev =
-          Option.value ~default:0.0
-            (Hashtbl.find_opt utilization_sums d.Device.device_id)
-        in
-        Hashtbl.replace utilization_sums d.Device.device_id (prev +. fraction))
-      spec.devices
+    for i = 0 to Array.length devices - 1 do
+      let d = devices.(i) in
+      let used = Manager.used_units manager ~device_id:d.Device.device_id in
+      utilization_sums.(i) <-
+        utilization_sums.(i)
+        +. (float_of_int used /. float_of_int d.Device.capacity)
+    done
   in
   let rev_trace = ref [] in
   let record_row ~app_id engine request outcome =
@@ -351,15 +358,11 @@ let run ?obs ?hooks spec =
     duration_us = spec.duration_us;
     trace = List.rev !rev_trace;
     mean_utilization =
-      List.map
-        (fun (d : Device.t) ->
-          let total =
-            Option.value ~default:0.0
-              (Hashtbl.find_opt utilization_sums d.Device.device_id)
-          in
+      List.mapi
+        (fun i (d : Device.t) ->
           ( d.Device.device_id,
             if !utilization_samples = 0 then 0.0
-            else total /. float_of_int !utilization_samples ))
+            else utilization_sums.(i) /. float_of_int !utilization_samples ))
         spec.devices;
     event_counts =
       List.mapi (fun k kind -> (kind, event_tally.(k))) event_kinds;

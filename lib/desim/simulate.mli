@@ -58,7 +58,9 @@ type report = {
 }
 
 val validate : spec -> (unit, string) result
-(** A ["simulate: ..."] error unless [duration_us] is finite and > 0. *)
+(** A ["simulate: ..."] error unless [duration_us] is finite and > 0,
+    the device ids are distinct and every capacity is > 0 (utilization
+    is kept per device position and divided by its capacity). *)
 
 (** The seam the fault layer ({!Faults.Campaign}) plugs into the loop.
 

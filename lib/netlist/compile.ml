@@ -18,6 +18,12 @@ type t = {
   types : (int, ctype) Hashtbl.t;
   supp_ids : int array;  (* ascending attribute IDs *)
   supp_recips : int array;  (* raw Q15 reciprocals, same order *)
+  (* Per-request kernel inputs, one slot per constraint, grown on
+     demand and reused by every retrieval over this [t]. *)
+  mutable c_id : int array;
+  mutable c_val : int array;
+  mutable c_w : int array;
+  mutable c_recip : int array;
 }
 
 let bram_image t = Array.copy t.words
@@ -84,7 +90,16 @@ let of_casebase cb =
                   layout.Memlayout.type_directory;
                 Result.map
                   (fun (supp_ids, supp_recips) ->
-                    { words = Array.copy words; types; supp_ids; supp_recips })
+                    {
+                      words = Array.copy words;
+                      types;
+                      supp_ids;
+                      supp_recips;
+                      c_id = [||];
+                      c_val = [||];
+                      c_w = [||];
+                      c_recip = [||];
+                    })
                   (compile_supplemental words image.Memlayout.cb_supplemental_base)))
 
 let recip_of t aid =
@@ -136,11 +151,11 @@ let score_impl words start n c_id c_val c_w c_recip ~sorted =
   !acc
 
 let retrieve t (request : Request.t) =
-  match Hashtbl.find_opt t.types request.Request.type_id with
-  | None -> Error (E.Unknown_type request.Request.type_id)
-  | Some ct when Array.length ct.impl_ids = 0 ->
+  match Hashtbl.find t.types request.Request.type_id with
+  | exception Not_found -> Error (E.Unknown_type request.Request.type_id)
+  | ct when Array.length ct.impl_ids = 0 ->
       Error (E.No_implementations request.Request.type_id)
-  | Some ct ->
+  | ct ->
       (* [Request.normalized_weights] inline: the same left-to-right
          sum and per-constraint division, so the Q15 weights are
          bit-identical, without building the intermediate list. *)
@@ -153,10 +168,14 @@ let retrieve t (request : Request.t) =
       done;
       let total = !total in
       let n = if total <= 0.0 then 0 else count in
-      let c_id = Array.make n 0
-      and c_val = Array.make n 0
-      and c_w = Array.make n 0
-      and c_recip = Array.make n 0 in
+      if Array.length t.c_id < n then begin
+        t.c_id <- Array.make n 0;
+        t.c_val <- Array.make n 0;
+        t.c_w <- Array.make n 0;
+        t.c_recip <- Array.make n 0
+      end;
+      let c_id = t.c_id and c_val = t.c_val and c_w = t.c_w in
+      let c_recip = t.c_recip in
       let rest = ref constrs in
       for i = 0 to n - 1 do
         let c = List.hd !rest in

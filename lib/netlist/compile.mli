@@ -19,7 +19,11 @@
     and randomized case bases. *)
 
 type t
-(** A compiled case base. *)
+(** A compiled case base.  It owns the kernel-input scratch its
+    retrievals reuse (grown on demand to the longest request seen), so
+    a [t] and the engine over it are driven from one domain at a time,
+    the contract of [Qos_core.Engine.t]; {!factory} compiles a fresh
+    [t] per engine. *)
 
 val of_casebase : Qos_core.Casebase.t -> (t, string) result
 (** Fails when the case base does not encode (e.g. image exceeds the

@@ -148,7 +148,44 @@ let bypass_props =
           | Error _ -> request)
         (list_size (int_range 1 4) triple))
   in
+  let gen_weighted =
+    QCheck2.Gen.(
+      let triple =
+        map3
+          (fun aid v w -> (aid, v, w))
+          (int_range 1 6) (int_range 0 64)
+          (oneof [ return 1.0; float_range 0.001 8.0 ])
+      in
+      map2
+        (fun type_id triples ->
+          (* A repeated attribute falls back to the empty request. *)
+          match Request.make ~type_id triples with
+          | Ok r -> r
+          | Error _ -> get (Request.make ~type_id []))
+        (int_range 1 3)
+        (list_size (int_range 0 5) triple))
+  in
+  (* The list fold [B.fingerprint] replaced: hash the normalized,
+     Q15-quantised triples of [Request.normalized_weights]. *)
+  let quantise w = Fxp.Q15.to_raw (Fxp.Q15.of_float w) in
+  let oracle_fingerprint (r : Request.t) =
+    List.fold_left
+      (fun acc (aid, v, w) ->
+        let h = (acc * 1000003) lxor aid in
+        let h = (h * 1000003) lxor v in
+        (h * 1000003) lxor quantise w)
+      (r.type_id * 1000003)
+      (Request.normalized_weights r)
+    land max_int
+  in
   [
+    bypass_prop "one-pass fingerprint equals the list fold" gen_weighted
+      (fun r ->
+        B.fingerprint r = oracle_fingerprint r
+        && B.signature r
+           = List.map
+               (fun (aid, v, w) -> (aid, v, quantise w))
+               (Request.normalized_weights r));
     bypass_prop "lookup never answers for different constraints"
       QCheck2.Gen.(pair gen_request gen_request)
       (fun (r1, r2) ->

@@ -121,6 +121,36 @@ let test_trace_outputs_pinned () =
       ("profile -r ODD --format json", "a0a1b24bd1fb444a43304f8a74f0274b", None);
     ]
 
+(* The simulate report and its per-request trace, pinned byte for byte
+   at two seeds over the default horizon.  The digests were recorded
+   before the manager scored variants in place, verified bypass tokens
+   without a signature list and sampled utilization by device
+   position. *)
+let test_simulate_outputs_pinned () =
+  let csv = Filename.concat tmp_dir "pinned_sim.csv" in
+  List.iter
+    (fun (seed, report_digest, csv_digest) ->
+      let code, out = run_cli (Printf.sprintf "simulate --seed %d" seed) in
+      check_int "simulate exit" 0 code;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d report" seed)
+        report_digest
+        (Digest.to_hex (Digest.string out));
+      let code, _ =
+        run_cli (Printf.sprintf "simulate --seed %d --trace-csv %s" seed csv)
+      in
+      check_int "simulate --trace-csv exit" 0 code;
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d trace csv" seed)
+        csv_digest
+        (Digest.to_hex (Digest.file csv)))
+    [
+      (42, "ae1f862ffd7619294229ead1107edca6", "0ec8d6a31d0ecb47e69d5f68cfe17793");
+      ( 2026,
+        "8f820a411a1efff4acb4e632b22c4578",
+        "35a3f898c8fe78b27337b9ee2825c5c2" );
+    ]
+
 let test_export_verify_roundtrip () =
   let dir = Filename.concat tmp_dir "export" in
   let code, _ = run_cli (Printf.sprintf "export -o %s -f hex -f coe" dir) in
@@ -581,6 +611,8 @@ let () =
             test_trace_outputs_pinned;
           Alcotest.test_case "simulate and analyze" `Quick
             test_simulate_and_analyze;
+          Alcotest.test_case "simulate outputs pinned" `Quick
+            test_simulate_outputs_pinned;
           Alcotest.test_case "faults clean exit 0" `Quick
             test_faults_clean_exit0;
           Alcotest.test_case "faults degraded exit 1" `Quick

@@ -338,33 +338,34 @@ let test_serve_alloc_budget () =
   if per_req > 160.0 then
     Alcotest.failf "%.1f minor words per request, budget 160" per_req
 
+(* [factory]'s engines, each retrieve adding its minor words to [words]
+   and one to [calls]. *)
+let counting factory ~calls ~words cb =
+  Result.map
+    (fun (e : Engine.t) ->
+      let retrieve r =
+        let w0 = Gc.minor_words () in
+        let d = e.Engine.retrieve r in
+        words := !words +. (Gc.minor_words () -. w0);
+        incr calls;
+        d
+      in
+      { e with Engine.retrieve })
+    (factory cb)
+
 (* The paper's manager over cycle-true retrieval, as alloc-sim runs it.
    The rtlsim engine writes each request into a Req-MEM it owns and runs
    one reused machine over it, so a retrieval allocates only its
    decision and the boxed Q15 weight conversions (~15 words measured;
    it was ~2 300 when every call re-encoded and copied the images and
-   formatted every trace line).  The simulate budget covers the whole
-   run over the default spec: 708 words per request measured, ~1 950
-   before. *)
+   formatted every trace line). *)
 let test_rtlsim_retrieve_budget () =
   let calls = ref 0 and words = ref 0.0 in
-  let counted cb =
-    Result.map
-      (fun (e : Engine.t) ->
-        let retrieve r =
-          let w0 = Gc.minor_words () in
-          let d = e.Engine.retrieve r in
-          words := !words +. (Gc.minor_words () -. w0);
-          incr calls;
-          d
-        in
-        { e with Engine.retrieve })
-      (Rtlsim.Engine.factory cb)
-  in
   let spec =
     {
       (Desim.Simulate.default_spec ()) with
-      Desim.Simulate.retrieval_engine = Some counted;
+      Desim.Simulate.retrieval_engine =
+        Some (counting Rtlsim.Engine.factory ~calls ~words);
     }
   in
   ignore (Desim.Simulate.run spec);
@@ -373,6 +374,33 @@ let test_rtlsim_retrieve_budget () =
   if per_call > 100.0 then
     Alcotest.failf "%.1f minor words per retrieve, budget 100" per_call
 
+(* The native engine on serve's streamed fast path.  Its kernel inputs
+   live in scratch the compiled case base owns, so a retrieval allocates
+   its decision, the type lookup and the boxed Q15 weight conversions:
+   ~12 words measured, ~31 when every call made four fresh arrays. *)
+let test_native_retrieve_budget () =
+  let calls = ref 0 and words = ref 0.0 in
+  let s =
+    {
+      (Serve.default_spec ()) with
+      Serve.seed = 5;
+      load_scale = 400.0;
+      source = Serve.Stream;
+      max_requests = Some 20_000;
+      retain_requests = false;
+      engine = counting Netlist.Compile.factory ~calls ~words;
+    }
+  in
+  ignore (get (Serve.run s));
+  check_bool "retrievals ran" true (!calls >= 20_000);
+  let per_call = !words /. float_of_int !calls in
+  if per_call > 16.0 then
+    Alcotest.failf "%.1f minor words per retrieve, budget 16" per_call
+
+(* The whole run over the default spec: 243 words per request measured,
+   ~1 950 before the rtlsim engine reused its machine and 708 before
+   the manager scored, keyed its bypass tokens and sampled utilization
+   without building lists. *)
 let test_simulate_alloc_budget () =
   Gc.full_major ();
   let w0 = Gc.minor_words () in
@@ -380,8 +408,8 @@ let test_simulate_alloc_budget () =
   let n = r.Desim.Simulate.totals.Desim.Simulate.requests in
   let per_req = (Gc.minor_words () -. w0) /. float_of_int n in
   check_bool "requests ran" true (n > 100);
-  if per_req > 800.0 then
-    Alcotest.failf "%.1f minor words per request, budget 800" per_req
+  if per_req > 280.0 then
+    Alcotest.failf "%.1f minor words per request, budget 280" per_req
 
 (* The flight-recorder exports and the report of the CLI's pinned chaos
    run (test_cli), in minor words per request.  The writers put every
@@ -1008,6 +1036,8 @@ let () =
         [
           Alcotest.test_case "rtlsim retrieve budget" `Quick
             test_rtlsim_retrieve_budget;
+          Alcotest.test_case "native retrieve budget" `Quick
+            test_native_retrieve_budget;
           Alcotest.test_case "simulate budget" `Quick
             test_simulate_alloc_budget;
         ] );

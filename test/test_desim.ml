@@ -297,6 +297,46 @@ let test_simulation_rejects_bad_duration () =
   check_bool "a finite horizon passes" true
     (S.validate (S.default_spec ()) = Ok ())
 
+(* Utilization is kept per device position, so a repeated id would be
+   sampled and printed twice and a zero capacity would print nan%.  The
+   duplicate is rejected up front; a capacity <= 0 cannot reach the
+   spec at all, since [Device.make] is the only constructor. *)
+let test_simulation_rejects_bad_devices () =
+  let dsp id =
+    Qos_core.Util.ok_exn ~ctx:"device"
+      (Allocator.Device.make ~device_id:id ~target:Qos_core.Target.Dsp
+         ~capacity:2 ())
+  in
+  let spec =
+    {
+      (S.default_spec ()) with
+      S.devices = (S.default_spec ()).S.devices @ [ dsp "dsp1"; dsp "dsp0" ];
+    }
+  in
+  (match S.validate spec with
+  | Ok () -> Alcotest.fail "duplicate device id accepted"
+  | Error msg ->
+      Alcotest.(check string)
+        "names the duplicate" "simulate: duplicate device id \"dsp0\"" msg;
+      Alcotest.check_raises "run raises" (Invalid_argument msg) (fun () ->
+          ignore (S.run spec)));
+  List.iter
+    (fun capacity ->
+      check_bool
+        (Printf.sprintf "capacity %d refused" capacity)
+        true
+        (Result.is_error
+           (Allocator.Device.make ~device_id:"dsp9" ~target:Qos_core.Target.Dsp
+              ~capacity ())))
+    [ 0; -1 ];
+  check_bool "distinct ids pass" true
+    (S.validate
+       {
+         (S.default_spec ()) with
+         S.devices = (S.default_spec ()).S.devices @ [ dsp "dsp1" ];
+       }
+    = Ok ())
+
 (* The fault-layer seam: [start] sees the initial arrivals queued and
    the root stream past the per-app splits, [retrieved] fires once per
    refusal or non-bypass grant, and [place] takes over every
@@ -588,6 +628,8 @@ let () =
           Alcotest.test_case "short horizon" `Quick test_simulation_short_horizon;
           Alcotest.test_case "rejects bad duration" `Quick
             test_simulation_rejects_bad_duration;
+          Alcotest.test_case "rejects bad devices" `Quick
+            test_simulation_rejects_bad_devices;
           Alcotest.test_case "hooks contract" `Quick
             test_simulation_hooks_contract;
           Alcotest.test_case "tight system" `Quick test_simulation_tight_system;

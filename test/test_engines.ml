@@ -345,6 +345,126 @@ let scenario_of_seed seed =
 
 let seed_gen = QCheck2.Gen.int_range 0 100_000
 
+(* The list-based float scorer that [Engine_float] folded in place: the
+   normalized weights list, one (weight, local) pair per constraint,
+   [Similarity.amalgamate] over the pairs, and a full stable sort before
+   [take].  Kept as the oracle the in-place scorer must match bit for
+   bit. *)
+module Oracle = struct
+  let score_impl amalgamation schema request impl =
+    let pair (aid, rvalue, weight) =
+      match (Impl.find_attr impl aid, Attr.Schema.dmax schema aid) with
+      | None, _ | _, None -> (weight, Similarity.local_missing)
+      | Some cvalue, Some dmax -> (weight, Similarity.local ~dmax rvalue cvalue)
+    in
+    Similarity.amalgamate amalgamation
+      (List.map pair (Request.normalized_weights request))
+
+  let rank_all amalgamation (casebase : Casebase.t) (request : Request.t) =
+    match Casebase.find_type casebase request.type_id with
+    | None -> Error (Retrieval.Unknown_type request.type_id)
+    | Some ft when Ftype.impl_count ft = 0 ->
+        Error (Retrieval.No_implementations request.type_id)
+    | Some ft ->
+        let score impl =
+          {
+            Retrieval.impl;
+            score = score_impl amalgamation casebase.schema request impl;
+          }
+        in
+        Ok
+          (List.stable_sort
+             (fun a b -> Float.compare b.Retrieval.score a.Retrieval.score)
+             (List.map score ft.Ftype.impls))
+
+  let take n list = List.filteri (fun i _ -> i < n) list
+
+  let n_best amalgamation ~n casebase request =
+    Result.map (take n) (rank_all amalgamation casebase request)
+end
+
+(* Case bases the oracle comparison runs on: schema attributes 1-6 with
+   random bounds, variants holding a random subset of them (so requested
+   attributes go missing) drawn from few values (so scores tie), up to
+   five variants per type with type 3 often empty, and requests on types
+   1-4 (4 is unknown) constraining any of attributes 1-8 (7 and 8 are in
+   no schema) with equal or random weights, or nothing at all. *)
+let oracle_case_gen =
+  let open QCheck2.Gen in
+  let* bounds = list_repeat 6 (pair (int_range 0 40) (int_range 0 40)) in
+  let bounds = List.map (fun (a, b) -> (min a b, max a b)) bounds in
+  let schema =
+    get
+      (Attr.Schema.of_list
+         (List.mapi
+            (fun i (lower, upper) ->
+              get
+                (Attr.descriptor ~id:(i + 1)
+                   ~name:(Printf.sprintf "a%d" (i + 1))
+                   ~lower ~upper))
+            bounds))
+  in
+  let attrs_gen =
+    map
+      (List.filter_map Fun.id)
+      (flatten_l
+         (List.mapi
+            (fun i (lo, hi) ->
+              let* present = frequencyl [ (3, true); (1, false) ] in
+              let* v = oneofl [ lo; hi; (lo + hi) / 2 ] in
+              return (if present then Some (i + 1, v) else None))
+            bounds))
+  in
+  let* counts = list_repeat 3 (int_range 0 5) in
+  let* attr_sets = list_repeat (List.fold_left ( + ) 0 counts) attrs_gen in
+  let _, ftypes =
+    List.fold_left
+      (fun (sets, acc) (type_id, count) ->
+        let mine = List.filteri (fun i _ -> i < count) sets in
+        let rest = List.filteri (fun i _ -> i >= count) sets in
+        let impls =
+          List.mapi
+            (fun i attrs ->
+              get (Impl.make ~id:(i + 1) ~target:Target.Dsp attrs))
+            mine
+        in
+        (rest, get (Ftype.make ~id:type_id ~name:"t" impls) :: acc))
+      (attr_sets, [])
+      (List.mapi (fun i c -> (i + 1, c)) counts)
+  in
+  let cb = get (Casebase.make ~name:"oracle" ~schema ftypes) in
+  let* type_id = int_range 1 4 in
+  let* ids = shuffle_l [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
+  let* m = int_range 0 5 in
+  let* weighting = bool in
+  let* constraints =
+    flatten_l
+      (List.map
+         (fun aid ->
+           let* v = int_range 0 60 in
+           let* w = if weighting then float_range 0.01 5.0 else return 1.0 in
+           return (aid, v, w))
+         (List.filteri (fun i _ -> i < m) ids))
+  in
+  let req = get (Request.make ~type_id constraints) in
+  let* amalgamation = oneofl Similarity.all_amalgamations in
+  let* n = int_range 0 6 in
+  return (cb, req, amalgamation, n)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_ranking a b =
+  match (a, b) with
+  | Ok xs, Ok ys ->
+      List.length xs = List.length ys
+      && List.for_all2
+           (fun (x : Engine_float.ranked) (y : Engine_float.ranked) ->
+             x.Retrieval.impl.Impl.id = y.Retrieval.impl.Impl.id
+             && same_bits x.Retrieval.score y.Retrieval.score)
+           xs ys
+  | Error e, Error f -> Retrieval.equal_error e f
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 let props =
   [
     prop "fixed agrees with float on random case bases" seed_gen (fun seed ->
@@ -458,6 +578,27 @@ let props =
             && (match cycles with
                | [] -> false (* rtlsim and netlist must both report *)
                | h :: t -> List.for_all (fun n -> n = h) t));
+    prop_n 1000 "in-place scorer matches the list oracle bit for bit"
+      oracle_case_gen (fun (cb, req, amalgamation, n) ->
+        List.for_all
+          (fun (ft : Ftype.t) ->
+            List.for_all
+              (fun impl ->
+                same_bits
+                  (Engine_float.score_impl ~amalgamation cb.Casebase.schema req
+                     impl)
+                  (Oracle.score_impl amalgamation cb.Casebase.schema req impl))
+              ft.Ftype.impls)
+          cb.Casebase.ftypes
+        && same_ranking
+             (Engine_float.rank_all ~amalgamation cb req)
+             (Oracle.rank_all amalgamation cb req)
+        && same_ranking
+             (Engine_float.n_best ~amalgamation ~n cb req)
+             (Oracle.n_best amalgamation ~n cb req)
+        && same_ranking
+             (Result.map (fun r -> [ r ]) (Engine_float.best ~amalgamation cb req))
+             (Oracle.n_best amalgamation ~n:1 cb req));
     prop "n_best is a prefix of rank_all" seed_gen (fun seed ->
         let cb, req = scenario_of_seed seed in
         match (Engine_float.rank_all cb req, Engine_float.n_best ~n:3 cb req) with
